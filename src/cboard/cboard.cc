@@ -55,7 +55,7 @@ CBoard::crash()
     alive_ = false;
     stats_.crashes++;
     // The pipeline state and inflight reassembly die with the board.
-    inflight_.clear();
+    clearInflight();
     lock_owners_.clear();
 }
 
@@ -87,7 +87,7 @@ CBoard::restart()
     last_op_done_ = 0;
     refill_pending_ = false;
     refill_done_ = 0;
-    inflight_.clear();
+    clearInflight();
     packets_since_gc_ = 0;
     lock_owners_.clear();
     // A rebooted board fences nothing until the controller observes
@@ -108,6 +108,51 @@ CBoard::restart()
 // Ingress + MAT routing
 // ---------------------------------------------------------------------
 
+CBoard::Inflight &
+CBoard::inflightFor(ReqId id)
+{
+    std::uint32_t slot = inflight_.find(id);
+    if (slot != inflight_.kNone)
+        return inflight_slots_[slot];
+    if (!inflight_free_.empty()) {
+        slot = inflight_free_.back();
+        inflight_free_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(inflight_slots_.size());
+        inflight_slots_.emplace_back();
+    }
+    inflight_.insert(id, slot);
+    Inflight &inflight = inflight_slots_[slot];
+    // Fresh state, but the bitmap keeps its capacity across requests.
+    auto seen_bits = std::move(inflight.seen_bits);
+    inflight = Inflight{};
+    inflight.seen_bits = std::move(seen_bits);
+    inflight.live = true;
+    inflight.id = id;
+    return inflight;
+}
+
+void
+CBoard::releaseInflight(ReqId id)
+{
+    const std::uint32_t slot = inflight_.find(id);
+    if (slot == inflight_.kNone)
+        return;
+    inflight_.erase(id);
+    inflight_slots_[slot].live = false;
+    inflight_slots_[slot].req.reset();
+    inflight_free_.push_back(slot);
+}
+
+void
+CBoard::clearInflight()
+{
+    for (const Inflight &inflight : inflight_slots_) {
+        if (inflight.live)
+            releaseInflight(inflight.id);
+    }
+}
+
 void
 CBoard::gcInflight()
 {
@@ -115,11 +160,9 @@ CBoard::gcInflight()
     if (eq_.now() < horizon)
         return;
     const Tick cutoff = eq_.now() - horizon;
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second.last_seen < cutoff)
-            it = inflight_.erase(it);
-        else
-            ++it;
+    for (const Inflight &inflight : inflight_slots_) {
+        if (inflight.live && inflight.last_seen < cutoff)
+            releaseInflight(inflight.id);
     }
 }
 
@@ -174,7 +217,7 @@ CBoard::onPacket(Packet pkt)
       case MsgType::kWrite:
       case MsgType::kAtomic:
       case MsgType::kFence: {
-        auto &inflight = inflight_[pkt.req_id];
+        Inflight &inflight = inflightFor(pkt.req_id);
         if (inflight.total_parts == 0) {
             inflight.total_parts = pkt.total_parts;
             inflight.req =
@@ -240,7 +283,7 @@ CBoard::onPacket(Packet pkt)
                               cfg_.fast_path.mac_latency;
             last_op_done_ = std::max(last_op_done_, inflight.done);
             respondAt(when, req.src, req.req_id, std::move(resp));
-            inflight_.erase(req.req_id);
+            releaseInflight(req.req_id);
         }
         break;
       }
@@ -747,7 +790,7 @@ CBoard::registerOffloadShared(std::uint32_t offload_id,
 void
 CBoard::extendPathPacket(const Packet &pkt)
 {
-    auto &inflight = inflight_[pkt.req_id];
+    Inflight &inflight = inflightFor(pkt.req_id);
     if (inflight.total_parts == 0) {
         inflight.total_parts = pkt.total_parts;
         inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
@@ -821,7 +864,7 @@ CBoard::extendPathPacket(const Packet &pkt)
     done += fp.respond_cycles * fp.cycle + fp.mac_latency;
     last_op_done_ = std::max(last_op_done_, done);
     respondAt(done, req.src, req.req_id, std::move(resp));
-    inflight_.erase(pkt.req_id);
+    releaseInflight(pkt.req_id);
 }
 
 Tick

@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cboard/dedup_buffer.hh"
@@ -46,6 +45,7 @@
 #include "proto/messages.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "valloc/va_allocator.hh"
 
 namespace clio {
@@ -249,9 +249,14 @@ class CBoard
   private:
     friend class OffloadVm;
 
-    /** Per-inflight-request reassembly/completion state. */
+    /** Per-inflight-request reassembly/completion state: one pooled
+     * slot, recycled through a free list (its bitmap keeps capacity). */
     struct Inflight
     {
+        /** Slot holds a request (false while on the free list). */
+        bool live = false;
+        /** Request id the slot is indexed under. */
+        ReqId id = 0;
         std::uint32_t parts_seen = 0;
         std::uint32_t total_parts = 0;
         /** Max completion tick over per-packet processing. */
@@ -272,6 +277,14 @@ class CBoard
         Tick last_seen = 0;
         std::shared_ptr<const RequestMsg> req;
     };
+
+    /** @{ Inflight slot pool. inflightFor() returns the live slot of
+     * `id`, claiming a fresh one on first sight; the reference stays
+     * valid until the next inflightFor(). */
+    Inflight &inflightFor(ReqId id);
+    void releaseInflight(ReqId id);
+    void clearInflight();
+    /** @} */
 
     /** Sweep inflight entries abandoned for longer than ~10x a client
      * timeout (their packets were lost; the client retried with a new
@@ -355,7 +368,10 @@ class CBoard
      * quarter of physical memory for small configurations). */
     std::uint32_t reserve_cap_ = 0;
 
-    std::unordered_map<ReqId, Inflight> inflight_;
+    /** Inflight requests: id -> slot in inflight_slots_. */
+    FlatIndex<ReqId> inflight_;
+    std::vector<Inflight> inflight_slots_;
+    std::vector<std::uint32_t> inflight_free_;
     std::uint64_t packets_since_gc_ = 0;
 
     /** Recycling ring for response messages (one per completed

@@ -7,16 +7,22 @@
  * result. Capacity is statically sized from 3 x TIMEOUT x bandwidth —
  * one of only two pieces of state the MN keeps, independent of client
  * count.
+ *
+ * Layout: exactly that ring — `capacity` ids and results in two flat
+ * arrays allocated at construction, the oldest entry overwritten when
+ * a new one arrives at a full ring — plus an open-addressed id -> ring
+ * position index sized for `capacity` ids. Recording and lookup never
+ * allocate.
  */
 
 #ifndef CLIO_CBOARD_DEDUP_BUFFER_HH
 #define CLIO_CBOARD_DEDUP_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_index.hh"
 #include "sim/types.hh"
 
 namespace clio {
@@ -41,9 +47,7 @@ class DedupBuffer
     std::optional<std::uint64_t> find(ReqId req_id) const;
 
     std::uint32_t capacity() const { return capacity_; }
-    std::uint32_t size() const {
-        return static_cast<std::uint32_t>(fifo_.size());
-    }
+    std::uint32_t size() const { return index_.size(); }
 
     /** Suppressed duplicate executions (stat). */
     std::uint64_t suppressed() const { return suppressed_; }
@@ -51,9 +55,14 @@ class DedupBuffer
 
   private:
     std::uint32_t capacity_;
-    /** Insertion order for ring eviction. */
-    std::deque<ReqId> fifo_;
-    std::unordered_map<ReqId, std::uint64_t> results_;
+    /** @{ The ring: ids_[oldest_] is the next eviction victim once
+     * the ring is full; entries are never moved after recording. */
+    std::vector<ReqId> ids_;
+    std::vector<std::uint64_t> results_;
+    std::uint32_t oldest_ = 0;
+    /** @} */
+    /** id -> ring position. */
+    FlatIndex<ReqId> index_;
     std::uint64_t suppressed_ = 0;
 };
 

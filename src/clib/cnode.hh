@@ -16,9 +16,11 @@
  *
  * Layout note: one CNode is shared by every simulated process on its
  * server, so at 10^4+ processes per CN the per-request state here is
- * kept in pooled slots (bodies are recycled, never freed per-op) and
- * the per-MN congestion records are a trivially-copyable
- * struct-of-arrays scanned linearly on the send/ack paths.
+ * kept in pooled slots (bodies are recycled, never freed per-op),
+ * found through an open-addressed attempt-id -> slot index (FlatIndex:
+ * one flat table, no per-request node allocation), and the per-MN
+ * congestion records are a trivially-copyable struct-of-arrays scanned
+ * linearly on the send/ack paths.
  */
 
 #ifndef CLIO_CLIB_CNODE_HH
@@ -29,13 +31,13 @@
 #include <functional>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hh"
 #include "proto/messages.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "sim/stats.hh"
 
 namespace clio {
@@ -202,7 +204,7 @@ class CNode
     NodeId node_;
 
     /** Outstanding requests: CURRENT attempt id -> slot. */
-    std::unordered_map<ReqId, std::uint32_t> out_index_;
+    FlatIndex<ReqId> out_index_;
     std::vector<Outstanding> out_slots_;
     std::vector<std::uint32_t> out_free_;
 

@@ -7,22 +7,32 @@
 namespace clio {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t capacity)
-    : capacity_(capacity)
+    : capacity_(capacity),
+      dir_((capacity + kLeafBytes - 1) / kLeafBytes)
 {
     clio_assert(capacity > 0, "physical memory capacity must be nonzero");
 }
 
-std::uint8_t *
-PhysicalMemory::chunkFor(std::uint64_t chunk_index) const
+const std::uint8_t *
+PhysicalMemory::findChunk(std::uint64_t chunk_index) const
 {
-    auto it = chunks_.find(chunk_index);
-    if (it != chunks_.end())
-        return it->second.get();
-    auto chunk = std::make_unique<std::uint8_t[]>(kChunkBytes);
-    std::memset(chunk.get(), 0, kChunkBytes);
-    auto *raw = chunk.get();
-    chunks_.emplace(chunk_index, std::move(chunk));
-    return raw;
+    const Leaf *leaf = dir_[chunk_index / kLeafChunks].get();
+    return leaf ? (*leaf)[chunk_index % kLeafChunks].get() : nullptr;
+}
+
+std::uint8_t *
+PhysicalMemory::chunkFor(std::uint64_t chunk_index)
+{
+    auto &leaf = dir_[chunk_index / kLeafChunks];
+    if (!leaf)
+        leaf = std::make_unique<Leaf>();
+    auto &chunk = (*leaf)[chunk_index % kLeafChunks];
+    if (!chunk) {
+        // make_unique<T[]> value-initializes: a fresh chunk reads zero.
+        chunk = std::make_unique<std::uint8_t[]>(kChunkBytes);
+        materialized_++;
+    }
+    return chunk.get();
 }
 
 void
@@ -37,12 +47,10 @@ PhysicalMemory::read(PhysAddr addr, void *dst, std::uint64_t len) const
         const std::uint64_t chunk_index = addr / kChunkBytes;
         const std::uint64_t offset = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - offset);
-        auto it = chunks_.find(chunk_index);
-        if (it == chunks_.end()) {
+        if (const std::uint8_t *chunk = findChunk(chunk_index))
+            std::memcpy(out, chunk + offset, n);
+        else
             std::memset(out, 0, n); // untouched memory reads as zero
-        } else {
-            std::memcpy(out, it->second.get() + offset, n);
-        }
         out += n;
         addr += n;
         len -= n;
@@ -91,9 +99,8 @@ PhysicalMemory::zero(PhysAddr addr, std::uint64_t len)
         const std::uint64_t chunk_index = addr / kChunkBytes;
         const std::uint64_t offset = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - offset);
-        auto it = chunks_.find(chunk_index);
-        if (it != chunks_.end())
-            std::memset(it->second.get() + offset, 0, n);
+        if (findChunk(chunk_index))
+            std::memset(chunkFor(chunk_index) + offset, 0, n);
         addr += n;
         len -= n;
     }

@@ -2,9 +2,14 @@
  * @file
  * Byte-addressable physical memory for one memory node.
  *
- * Storage is sparse (allocated in fixed-size chunks on first touch) so a
- * simulated MN can be configured with, say, 2 GB or 4 TB of physical
- * memory without the host paying for untouched bytes. All reads and
+ * Storage is sparse (allocated in fixed-size chunks on first write) so
+ * a simulated MN can be configured with, say, 2 GB or 4 TB of physical
+ * memory without the host paying for untouched bytes. Chunks hang off
+ * a two-level table: a directory sized from the capacity (one pointer
+ * per 256 MiB leaf span, so a 4 TiB node costs 128 KiB) whose leaves
+ * (4096 chunk pointers each) are allocated on the first write into
+ * their span. Reads and zero-fills of untouched memory allocate
+ * nothing, and finding a chunk is two array indexings. All reads and
  * writes move real data: end-to-end tests verify that what a client
  * reads through the whole network/translation stack is exactly what was
  * written, even under loss/reordering/retry.
@@ -13,9 +18,9 @@
 #ifndef CLIO_MEM_PHYSICAL_MEMORY_HH
 #define CLIO_MEM_PHYSICAL_MEMORY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -51,19 +56,26 @@ class PhysicalMemory
     void zero(PhysAddr addr, std::uint64_t len);
 
     /** Number of host-side chunks actually materialized (test hook). */
-    std::size_t materializedChunks() const { return chunks_.size(); }
+    std::size_t materializedChunks() const { return materialized_; }
+
+    /** @{ Table geometry (test hooks): bytes per chunk and per leaf. */
+    static constexpr std::uint64_t kChunkBytes = 64 * KiB;
+    static constexpr std::uint64_t kLeafChunks = 4096;
+    static constexpr std::uint64_t kLeafBytes = kChunkBytes * kLeafChunks;
+    /** @} */
 
   private:
-    static constexpr std::uint64_t kChunkBytes = 64 * KiB;
+    using Leaf = std::array<std::unique_ptr<std::uint8_t[]>, kLeafChunks>;
 
-    std::uint8_t *chunkFor(std::uint64_t chunk_index) const;
+    /** Chunk `chunk_index` if materialized, else nullptr. */
+    const std::uint8_t *findChunk(std::uint64_t chunk_index) const;
+    /** Chunk `chunk_index`, materializing it (and its leaf) if absent. */
+    std::uint8_t *chunkFor(std::uint64_t chunk_index);
 
     std::uint64_t capacity_;
-    /** chunk index -> lazily allocated chunk. Mutable so that read() of
-     * untouched memory can stay logically const without materializing
-     * (it simply skips absent chunks). */
-    mutable std::unordered_map<std::uint64_t,
-                               std::unique_ptr<std::uint8_t[]>> chunks_;
+    /** Leaf directory: entry i covers chunks [i, i+1) * kLeafChunks. */
+    std::vector<std::unique_ptr<Leaf>> dir_;
+    std::size_t materialized_ = 0;
 };
 
 } // namespace clio

@@ -21,9 +21,10 @@
  * admission until `out_done` — the instant its last byte leaves the
  * output port — NOT until delivery (which additionally includes the
  * final link propagation plus jitter/reorder delay). Occupancy is
- * kept as a per-stage deque of departure times drained lazily, which
- * is equivalent to scheduling one drain event per packet at its
- * `out_done` without the event overhead.
+ * kept as a per-stage FIFO of departure times in one contiguous,
+ * recycled buffer, drained lazily, which is equivalent to scheduling
+ * one drain event per packet at its `out_done` without the event
+ * overhead.
  *
  * Lossless (PFC-like) mode is bounded-queue back-pressure: when an
  * output queue along the path is full at submission time, the packet
@@ -44,7 +45,6 @@
 #define CLIO_NET_NETWORK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -181,6 +181,49 @@ class Network
 
   private:
     /**
+     * FIFO of departure times over one contiguous buffer: live entries
+     * are buf[head, end), so indexing and binary search see a plain
+     * sorted array. Popping advances `head`; a push into a full buffer
+     * first slides the live tail to the front when at least half the
+     * buffer is dead, so the buffer stays within a small multiple of
+     * the peak occupancy and steady-state traffic never allocates.
+     */
+    class DepartureFifo
+    {
+      public:
+        bool empty() const { return head_ == buf_.size(); }
+        std::size_t size() const { return buf_.size() - head_; }
+        Tick front() const { return buf_[head_]; }
+        Tick operator[](std::size_t i) const { return buf_[head_ + i]; }
+        const Tick *begin() const { return buf_.data() + head_; }
+        const Tick *end() const { return buf_.data() + buf_.size(); }
+
+        void
+        pop_front()
+        {
+            if (++head_ == buf_.size()) {
+                buf_.clear();
+                head_ = 0;
+            }
+        }
+
+        void
+        push_back(Tick t)
+        {
+            if (buf_.size() == buf_.capacity() && 2 * head_ >= buf_.size()) {
+                buf_.erase(buf_.begin(),
+                           buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+                head_ = 0;
+            }
+            buf_.push_back(t);
+        }
+
+      private:
+        std::vector<Tick> buf_;
+        std::size_t head_ = 0;
+    };
+
+    /**
      * One switch output stage (a ToR output port, a rack uplink, or a
      * rack downlink): when its egress is next idle, plus the departure
      * times of every packet committed to it and not yet departed.
@@ -193,7 +236,7 @@ class Network
         Tick free = 0;
         /** Departure (out_done) times of committed packets, FIFO.
          * Non-decreasing because egress serialization is FIFO. */
-        std::deque<Tick> drain;
+        DepartureFifo drain;
     };
 
     struct Port

@@ -4,72 +4,116 @@
 
 namespace clio {
 
-Tlb::Tlb(std::uint32_t capacity) : capacity_(capacity)
+Tlb::Tlb(std::uint32_t capacity)
+    : capacity_(capacity), entries_(capacity), index_(capacity)
 {
     clio_assert(capacity > 0, "TLB capacity must be nonzero");
+    for (std::uint32_t e = 0; e + 1 < capacity; e++)
+        entries_[e].next = e + 1;
+}
+
+void
+Tlb::unlink(std::uint32_t e)
+{
+    Entry &entry = entries_[e];
+    if (entry.prev != kNil)
+        entries_[entry.prev].next = entry.next;
+    else
+        mru_ = entry.next;
+    if (entry.next != kNil)
+        entries_[entry.next].prev = entry.prev;
+    else
+        lru_ = entry.prev;
+}
+
+void
+Tlb::pushMru(std::uint32_t e)
+{
+    Entry &entry = entries_[e];
+    entry.prev = kNil;
+    entry.next = mru_;
+    if (mru_ != kNil)
+        entries_[mru_].prev = e;
+    else
+        lru_ = e;
+    mru_ = e;
+}
+
+void
+Tlb::promote(std::uint32_t e)
+{
+    if (e != mru_) {
+        unlink(e);
+        pushMru(e);
+    }
+}
+
+void
+Tlb::release(std::uint32_t e)
+{
+    unlink(e);
+    Entry &entry = entries_[e];
+    index_.erase(Key{entry.pte.pid, entry.pte.vpn});
+    entry.next = free_;
+    free_ = e;
 }
 
 const Pte *
 Tlb::lookup(ProcId pid, std::uint64_t vpn)
 {
-    auto it = map_.find(Key{pid, vpn});
-    if (it == map_.end()) {
+    const std::uint32_t e = index_.find(Key{pid, vpn});
+    if (e == index_.kNone) {
         misses_++;
         return nullptr;
     }
     hits_++;
-    // Promote to MRU.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return &it->second.pte;
+    promote(e);
+    return &entries_[e].pte;
 }
 
 void
 Tlb::insert(const Pte &pte)
 {
     const Key key{pte.pid, pte.vpn};
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        it->second.pte = pte;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    std::uint32_t e = index_.find(key);
+    if (e != index_.kNone) {
+        entries_[e].pte = pte;
+        promote(e);
         return;
     }
-    if (map_.size() >= capacity_) {
-        const Key victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{pte, lru_.begin()});
+    if (index_.size() >= capacity_)
+        release(lru_);
+    e = free_;
+    free_ = entries_[e].next;
+    entries_[e].pte = pte;
+    index_.insert(key, e);
+    pushMru(e);
 }
 
 void
 Tlb::update(const Pte &pte)
 {
-    auto it = map_.find(Key{pte.pid, pte.vpn});
-    if (it != map_.end())
-        it->second.pte = pte;
+    const std::uint32_t e = index_.find(Key{pte.pid, pte.vpn});
+    if (e != index_.kNone)
+        entries_[e].pte = pte;
 }
 
 void
 Tlb::invalidate(ProcId pid, std::uint64_t vpn)
 {
-    auto it = map_.find(Key{pid, vpn});
-    if (it == map_.end())
-        return;
-    lru_.erase(it->second.lru_pos);
-    map_.erase(it);
+    const std::uint32_t e = index_.find(Key{pid, vpn});
+    if (e != index_.kNone)
+        release(e);
 }
 
 void
 Tlb::invalidateProcess(ProcId pid)
 {
-    for (auto it = map_.begin(); it != map_.end();) {
-        if (it->first.pid == pid) {
-            lru_.erase(it->second.lru_pos);
-            it = map_.erase(it);
-        } else {
-            ++it;
-        }
+    for (std::uint32_t e = mru_; e != kNil;) {
+        const std::uint32_t next = entries_[e].next;
+        if (entries_[e].pte.pid == pid)
+            release(e);
+        e = next;
     }
 }
 

@@ -4,16 +4,22 @@
  * recently used PTEs with LRU replacement. Lookup is a single fast-path
  * cycle; a miss costs exactly one DRAM bucket fetch from the hash page
  * table.
+ *
+ * Layout: the CAM is modeled as a fixed array of `capacity` entries
+ * allocated at construction, an exact-LRU list threaded through the
+ * entries by index, and an open-addressed (pid, vpn) -> entry index
+ * sized for `capacity` keys. Hits, misses and eviction order are those
+ * of a textbook LRU; no operation allocates.
  */
 
 #ifndef CLIO_PAGETABLE_TLB_HH
 #define CLIO_PAGETABLE_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "pagetable/pte.hh"
+#include "sim/flat_index.hh"
 #include "sim/types.hh"
 
 namespace clio {
@@ -47,9 +53,17 @@ class Tlb
     void invalidateProcess(ProcId pid);
 
     std::uint32_t capacity() const { return capacity_; }
-    std::uint32_t size() const {
-        return static_cast<std::uint32_t>(map_.size());
+    std::uint32_t size() const { return index_.size(); }
+
+    /** @{ Index geometry (test hooks, for building colliding keys):
+     * home slot of (pid, vpn) and the index's table length. */
+    std::uint32_t
+    indexHome(ProcId pid, std::uint64_t vpn) const
+    {
+        return index_.home(Key{pid, vpn});
     }
+    std::uint32_t indexSlots() const { return index_.tableSize(); }
+    /** @} */
 
     /** @{ Hit/miss counters for stats and benches. */
     std::uint64_t hits() const { return hits_; }
@@ -73,26 +87,43 @@ class Tlb
 
     struct KeyHash
     {
-        std::size_t
+        std::uint64_t
         operator()(const Key &k) const
         {
             // Mix pid into the vpn with a 64-bit multiply-shift.
             std::uint64_t x = k.vpn * 0x9E3779B97F4A7C15ull + k.pid;
             x ^= x >> 32;
-            return static_cast<std::size_t>(x);
+            return x;
         }
     };
 
+    /** Terminates the LRU list and the free chain. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** One CAM entry; `prev`/`next` link the LRU list (or, for a free
+     * entry, `next` links the free chain). */
     struct Entry
     {
         Pte pte;
-        std::list<Key>::iterator lru_pos;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
     };
 
+    /** Unlink entry `e` from the LRU list. */
+    void unlink(std::uint32_t e);
+    /** Link entry `e` at the MRU end. */
+    void pushMru(std::uint32_t e);
+    /** Move linked entry `e` to the MRU end. */
+    void promote(std::uint32_t e);
+    /** Drop entry `e`: unlink, unindex, return it to the free chain. */
+    void release(std::uint32_t e);
+
     std::uint32_t capacity_;
-    std::unordered_map<Key, Entry, KeyHash> map_;
-    /** Front = MRU, back = LRU. */
-    std::list<Key> lru_;
+    std::vector<Entry> entries_;
+    FlatIndex<Key, KeyHash> index_;
+    std::uint32_t mru_ = kNil;
+    std::uint32_t lru_ = kNil;
+    std::uint32_t free_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

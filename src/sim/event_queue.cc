@@ -244,13 +244,15 @@ EventQueue::stageNext(Tick bound)
         horizon_ = base0;
         staged_sn_ = cand0;
         auto &sv = fine_.slots[idx];
-        // Swapping recycles both vectors' capacity, so the steady
-        // state allocates nothing. A slot spans 2^15 ticks, so events
+        // Copy, then clear: every slot and ready_ keep their own
+        // capacity, so once each has seen its peak the steady state
+        // allocates nothing (swapping would hand a small slot buffer
+        // to ready_ and regrow it). A slot spans 2^15 ticks, so events
         // of several due times may mix; sort restores global FIFO
         // order (pushes are usually already in (when, seq) order).
-        ready_.clear();
+        ready_.assign(sv.begin(), sv.end());
         ready_pos_ = 0;
-        std::swap(ready_, sv);
+        sv.clear();
         if (!std::is_sorted(ready_.begin(), ready_.end(), kWhenSeqOrder))
             std::sort(ready_.begin(), ready_.end(), kWhenSeqOrder);
         return true;

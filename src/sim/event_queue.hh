@@ -23,9 +23,11 @@
  *    is swept only when the cursor reaches it (a calendar fallback for
  *    arbitrarily far futures). Each wheel tracks slot occupancy with a
  *    64-word bitmap plus a one-word summary, so finding the next
- *    occupied slot is two bit scans. Slot vectors recycle their
- *    capacity and closures are arena'd inline in EventCallback
- *    buffers, so steady-state scheduling performs no allocation.
+ *    occupied slot is two bit scans. Slot vectors and the staging
+ *    buffer each keep their own capacity (staging copies a slot out
+ *    rather than swapping buffers with it), and closures are arena'd
+ *    inline in EventCallback buffers, so steady-state scheduling
+ *    performs no allocation.
  *    O(1) schedule, amortized O(1) pop.
  *
  *  - kBinaryHeap: the reference implementation — a binary heap of

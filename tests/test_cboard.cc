@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
+#include <map>
+#include <set>
+#include <string>
 
 #include "cboard/cboard.hh"
 #include "cboard/dedup_buffer.hh"
 #include "cluster/cluster.hh"
+#include "sim/rng.hh"
 
 namespace clio {
 namespace {
@@ -249,6 +254,75 @@ TEST(DedupBufferUnit, CapacityOneKeepsOnlyNewest)
     EXPECT_FALSE(buf.find(5).has_value());
     EXPECT_EQ(buf.find(6).value_or(0), 66u);
     EXPECT_EQ(buf.size(), 1u);
+}
+
+TEST(DedupBufferUnit, RerecordDoesNotMoveEntryInRing)
+{
+    DedupBuffer buf(3);
+    buf.record(1, 10);
+    buf.record(2, 20);
+    buf.record(3, 30);
+    // Re-recording the oldest id neither refreshes its age nor its
+    // cached result: it is still the next victim.
+    buf.record(1, 99);
+    EXPECT_EQ(buf.find(1).value_or(0), 10u);
+    buf.record(4, 40);
+    EXPECT_FALSE(buf.find(1).has_value());
+    EXPECT_EQ(buf.find(2).value_or(0), 20u);
+    buf.record(2, 77); // present: ignored
+    buf.record(5, 50);
+    EXPECT_FALSE(buf.find(2).has_value());
+    EXPECT_EQ(buf.find(3).value_or(0), 30u);
+    EXPECT_EQ(buf.find(4).value_or(0), 40u);
+    EXPECT_EQ(buf.find(5).value_or(0), 50u);
+    EXPECT_EQ(buf.size(), 3u);
+}
+
+TEST(DedupBufferUnit, FullRingEvictsOldestFirstAgainstReference)
+{
+    // Random records with frequent repeats, checked against a FIFO
+    // model: a full ring evicts strictly the oldest *first* recording,
+    // repeats never move an entry, and an evicted id is never found.
+    for (const std::uint32_t capacity : {1u, 3u, 64u, 512u}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        DedupBuffer buf(capacity);
+        std::deque<ReqId> fifo;
+        std::map<ReqId, std::uint64_t> live;
+        std::set<ReqId> evicted;
+        Rng rng(capacity);
+        const ReqId span = 3 * capacity + 2;
+        for (int step = 0; step < 20000; step++) {
+            // CN-style ids: node in the high bits, sequence below.
+            const ReqId id =
+                (static_cast<ReqId>(rng.uniformInt(3)) << 40) |
+                (1 + rng.uniformInt(span));
+            const std::uint64_t result = rng.next();
+            buf.record(id, result);
+            if (live.emplace(id, result).second) {
+                fifo.push_back(id);
+                evicted.erase(id);
+                if (fifo.size() > capacity) {
+                    live.erase(fifo.front());
+                    evicted.insert(fifo.front());
+                    fifo.pop_front();
+                }
+            }
+            ASSERT_EQ(buf.size(), live.size()) << "step " << step;
+            const ReqId probe =
+                (static_cast<ReqId>(rng.uniformInt(3)) << 40) |
+                (1 + rng.uniformInt(span));
+            auto it = live.find(probe);
+            const auto got = buf.find(probe);
+            ASSERT_EQ(got.has_value(), it != live.end()) << "step " << step;
+            if (got) {
+                ASSERT_EQ(*got, it->second) << "step " << step;
+            }
+        }
+        for (const ReqId id : evicted)
+            EXPECT_FALSE(buf.find(id).has_value()) << "id " << id;
+        for (const auto &[id, result] : live)
+            EXPECT_EQ(buf.find(id).value_or(~result), result);
+    }
 }
 
 TEST(CBoardDevice, FenceGatesLaterFastPathWork)

@@ -60,6 +60,70 @@ TEST(PhysicalMemory, SparseHugeCapacity)
     EXPECT_EQ(mem.materializedChunks(), 1u);
 }
 
+TEST(PhysicalMemory, CapacityNotAMultipleOfChunkOrLeafSpan)
+{
+    // One leaf span plus three chunks plus a ragged tail, and a
+    // capacity smaller than one chunk: the last byte must be
+    // addressable and round-trip, and only its chunk materializes.
+    const std::uint64_t caps[] = {
+        PhysicalMemory::kLeafBytes + 3 * PhysicalMemory::kChunkBytes + 123,
+        PhysicalMemory::kChunkBytes - 1, 1};
+    for (const std::uint64_t cap : caps) {
+        SCOPED_TRACE(cap);
+        PhysicalMemory mem(cap);
+        std::uint8_t b = 0;
+        mem.read(cap - 1, &b, 1);
+        EXPECT_EQ(b, 0);
+        const std::uint8_t v = 0x5A;
+        mem.write(cap - 1, &v, 1);
+        mem.read(cap - 1, &b, 1);
+        EXPECT_EQ(b, v);
+        EXPECT_EQ(mem.materializedChunks(), 1u);
+        if (cap >= 8) {
+            mem.write64(cap - 8, 0x0102030405060708ull);
+            EXPECT_EQ(mem.read64(cap - 8), 0x0102030405060708ull);
+        }
+    }
+    // A write ending exactly at capacity that straddles the last
+    // chunk boundary materializes both chunks.
+    const std::uint64_t cap = caps[0];
+    PhysicalMemory mem(cap);
+    std::vector<std::uint8_t> data(300, 0xC3);
+    mem.write(cap - data.size(), data.data(), data.size());
+    std::vector<std::uint8_t> out(data.size());
+    mem.read(cap - out.size(), out.data(), out.size());
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(mem.materializedChunks(), 2u);
+}
+
+TEST(PhysicalMemory, ReadAndZeroOfUntouchedMemoryMaterializeNothing)
+{
+    PhysicalMemory mem(4 * TiB);
+    const std::uint64_t leaf = PhysicalMemory::kLeafBytes;
+    // 1 MiB straddling a leaf boundary, far from anything written.
+    std::vector<std::uint8_t> buf(1 * MiB, 0xAB);
+    mem.read(7 * leaf - 512 * KiB, buf.data(), buf.size());
+    for (auto b : buf)
+        ASSERT_EQ(b, 0);
+    mem.zero(9 * leaf - 3 * MiB, 8 * MiB);
+    mem.zero(4 * TiB - 1, 1);
+    EXPECT_EQ(mem.materializedChunks(), 0u);
+
+    // Within a leaf that exists (one chunk written), its untouched
+    // neighbours still read zero and stay unmaterialized.
+    mem.write64(2 * leaf + 8, 42);
+    EXPECT_EQ(mem.materializedChunks(), 1u);
+    buf.assign(4 * PhysicalMemory::kChunkBytes, 0xAB);
+    mem.read(2 * leaf, buf.data(), buf.size());
+    EXPECT_EQ(buf[8], 42);
+    buf[8] = 0;
+    for (auto b : buf)
+        ASSERT_EQ(b, 0);
+    mem.zero(2 * leaf, 4 * PhysicalMemory::kChunkBytes);
+    EXPECT_EQ(mem.read64(2 * leaf + 8), 0u);
+    EXPECT_EQ(mem.materializedChunks(), 1u);
+}
+
 TEST(PhysicalMemory, Word64Helpers)
 {
     PhysicalMemory mem(1 * MiB);

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pagetable/hash_page_table.hh"
@@ -239,6 +243,176 @@ TEST(Tlb, ReinsertRefreshesLru)
     tlb.insert(makePte(1, 3, 0, kPermRead, true, true));
     EXPECT_NE(tlb.lookup(1, 1), nullptr); // survived, vpn2 evicted
     EXPECT_EQ(tlb.lookup(1, 2), nullptr);
+}
+
+/** Reference exact-LRU TLB: std::list recency order (front = MRU) plus
+ * a std::map from key to (PTE, list position). */
+class RefLru
+{
+  public:
+    explicit RefLru(std::size_t capacity) : capacity_(capacity) {}
+
+    const Pte *
+    lookup(ProcId pid, std::uint64_t vpn)
+    {
+        auto it = map_.find({pid, vpn});
+        if (it == map_.end()) {
+            misses_++;
+            return nullptr;
+        }
+        hits_++;
+        order_.splice(order_.begin(), order_, it->second.second);
+        return &it->second.first;
+    }
+
+    void
+    insert(const Pte &pte)
+    {
+        const Key key{pte.pid, pte.vpn};
+        auto it = map_.find(key);
+        if (it != map_.end()) {
+            it->second.first = pte;
+            order_.splice(order_.begin(), order_, it->second.second);
+            return;
+        }
+        if (map_.size() == capacity_) {
+            map_.erase(order_.back());
+            order_.pop_back();
+            evictions_++;
+        }
+        order_.push_front(key);
+        map_.emplace(key, std::make_pair(pte, order_.begin()));
+    }
+
+    void
+    update(const Pte &pte)
+    {
+        auto it = map_.find({pte.pid, pte.vpn});
+        if (it != map_.end())
+            it->second.first = pte;
+    }
+
+    void
+    invalidate(ProcId pid, std::uint64_t vpn)
+    {
+        auto it = map_.find({pid, vpn});
+        if (it == map_.end())
+            return;
+        order_.erase(it->second.second);
+        map_.erase(it);
+    }
+
+    void
+    invalidateProcess(ProcId pid)
+    {
+        for (auto it = map_.begin(); it != map_.end();) {
+            if (it->first.first == pid) {
+                order_.erase(it->second.second);
+                it = map_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+
+    std::size_t size() const { return map_.size(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t evictions() const { return evictions_; }
+
+  private:
+    using Key = std::pair<ProcId, std::uint64_t>;
+    std::size_t capacity_;
+    std::list<Key> order_;
+    std::map<Key, std::pair<Pte, std::list<Key>::iterator>> map_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t evictions_ = 0;
+};
+
+void
+expectSamePte(const Pte *got, const Pte *want, std::size_t step)
+{
+    ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+    if (got == nullptr)
+        return;
+    EXPECT_EQ(got->pid, want->pid) << "step " << step;
+    EXPECT_EQ(got->vpn, want->vpn) << "step " << step;
+    EXPECT_EQ(got->frame, want->frame) << "step " << step;
+    EXPECT_EQ(got->perm, want->perm) << "step " << step;
+    EXPECT_EQ(got->valid, want->valid) << "step " << step;
+    EXPECT_EQ(got->present, want->present) << "step " << step;
+}
+
+TEST(Tlb, ExactLruMatchesReferenceOnCollidingKeys)
+{
+    for (const std::uint32_t capacity : {1u, 2u, 7u, 1024u}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        Tlb tlb(capacity);
+        RefLru ref(capacity);
+        Rng rng(0x71B + capacity);
+
+        // Half the keys home to the last two or first two index slots,
+        // so their probe chains pile up and wrap past the table's end
+        // (every eviction and invalidation is a backward-shift erase
+        // inside such a chain); the rest are spread at random.
+        const std::uint32_t slots = tlb.indexSlots();
+        const std::size_t pool_size = 2 * capacity + 4;
+        std::vector<std::pair<ProcId, std::uint64_t>> pool;
+        while (pool.size() < pool_size / 2) {
+            const auto pid = static_cast<ProcId>(1 + rng.uniformInt(3));
+            const std::uint64_t vpn = rng.uniformInt(1u << 20);
+            const std::uint32_t home = tlb.indexHome(pid, vpn);
+            if (home + 2 >= slots || home < 2)
+                pool.emplace_back(pid, vpn);
+        }
+        while (pool.size() < pool_size) {
+            pool.emplace_back(static_cast<ProcId>(1 + rng.uniformInt(3)),
+                              rng.uniformInt(1u << 20));
+        }
+
+        const std::size_t steps = capacity >= 1024 ? 60000 : 20000;
+        for (std::size_t step = 0; step < steps; step++) {
+            const auto &[pid, vpn] = pool[rng.uniformInt(pool.size())];
+            const std::uint64_t op = rng.uniformInt(100);
+            Pte pte = makePte(pid, vpn, rng.uniformInt(1024) * 4 * MiB,
+                              static_cast<std::uint8_t>(rng.uniformInt(4)),
+                              true, rng.chance(0.5));
+            if (op < 45) {
+                expectSamePte(tlb.lookup(pid, vpn), ref.lookup(pid, vpn),
+                              step);
+            } else if (op < 85) {
+                tlb.insert(pte);
+                ref.insert(pte);
+            } else if (op < 93) {
+                tlb.update(pte);
+                ref.update(pte);
+            } else if (op < 99 || rng.uniformInt(capacity / 64 + 1) != 0) {
+                tlb.invalidate(pid, vpn);
+                ref.invalidate(pid, vpn);
+            } else {
+                tlb.invalidateProcess(pid);
+                ref.invalidateProcess(pid);
+            }
+            ASSERT_EQ(tlb.size(), ref.size()) << "step " << step;
+            ASSERT_EQ(tlb.hits(), ref.hits()) << "step " << step;
+            ASSERT_EQ(tlb.misses(), ref.misses()) << "step " << step;
+        }
+        EXPECT_EQ(tlb.capacity(), capacity);
+        // The run must have exercised a full TLB (evictions) and both
+        // outcomes of lookup.
+        EXPECT_GT(ref.evictions(), 0u);
+        EXPECT_GT(tlb.hits(), 0u);
+        EXPECT_GT(tlb.misses(), 0u);
+
+        // Final sweep: every pool key agrees, in recency-neutral order
+        // (each probe promotes in both models identically).
+        for (std::size_t i = 0; i < pool.size(); i++) {
+            const auto &[pid, vpn] = pool[i];
+            expectSamePte(tlb.lookup(pid, vpn), ref.lookup(pid, vpn),
+                          steps + i);
+        }
+    }
 }
 
 } // namespace

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -478,6 +480,111 @@ TEST(Throughput, GbpsComputation)
     EXPECT_DOUBLE_EQ(m.mops(kSecond), 1e-6);
     m.reset();
     EXPECT_EQ(m.bytes(), 0u);
+}
+
+TEST(FlatIndex, RandomOpsMatchUnorderedMapThroughGrowth)
+{
+    // Starts at the minimum table (4 slots) and grows past 4k entries.
+    FlatIndex<ReqId> idx(1);
+    EXPECT_EQ(idx.tableSize(), 4u);
+    std::unordered_map<ReqId, std::uint32_t> ref;
+    Rng rng(4711);
+    // CN-style ids (node << 40 | seq) beside arbitrary 64-bit keys.
+    std::vector<ReqId> pool;
+    for (ReqId seq = 1; seq <= 3000; seq++)
+        pool.push_back((static_cast<ReqId>(seq % 5) << 40) | seq);
+    for (int i = 0; i < 3000; i++)
+        pool.push_back(rng.next());
+    for (int step = 0; step < 200000; step++) {
+        const ReqId key = pool[rng.uniformInt(pool.size())];
+        const std::uint64_t op = rng.uniformInt(10);
+        if (op < 5) {
+            const auto value =
+                static_cast<std::uint32_t>(rng.uniformInt(1u << 31));
+            ASSERT_EQ(idx.insert(key, value),
+                      ref.emplace(key, value).second)
+                << "step " << step;
+        } else if (op < 8) {
+            ASSERT_EQ(idx.erase(key), ref.erase(key) == 1)
+                << "step " << step;
+        } else {
+            auto it = ref.find(key);
+            ASSERT_EQ(idx.find(key), it == ref.end()
+                                         ? FlatIndex<ReqId>::kNone
+                                         : it->second)
+                << "step " << step;
+        }
+        ASSERT_EQ(idx.size(), ref.size()) << "step " << step;
+    }
+    EXPECT_GE(idx.tableSize(), 2 * idx.size());
+    EXPECT_GT(idx.tableSize(), 1024u); // it grew
+    for (const ReqId key : pool) {
+        auto it = ref.find(key);
+        EXPECT_EQ(idx.find(key),
+                  it == ref.end() ? FlatIndex<ReqId>::kNone : it->second);
+    }
+    idx.clear();
+    EXPECT_TRUE(idx.empty());
+    EXPECT_EQ(idx.find(pool[0]), FlatIndex<ReqId>::kNone);
+}
+
+TEST(FlatIndex, ProbeChainsWrapPastTheEnd)
+{
+    // A fixed 16-slot table (8 entries never trigger growth) and keys
+    // homed at its last two slots and at slot 0: chains run off the
+    // end and continue at the front, and every erase shifts entries
+    // back across the wrap point.
+    FlatIndex<ReqId> idx(8);
+    ASSERT_EQ(idx.tableSize(), 16u);
+    std::vector<ReqId> tail, front;
+    for (ReqId k = 1; tail.size() < 12 || front.size() < 6; k++) {
+        const std::uint32_t h = idx.home(k);
+        if (h >= 14 && tail.size() < 12)
+            tail.push_back(k);
+        else if (h == 0 && front.size() < 6)
+            front.push_back(k);
+    }
+
+    // Deterministic case: five tail keys fill 14, 15, 0, 1, 2; a
+    // key homed at 0 lands at 3. Erasing a tail key must pull the
+    // later members back across the wrap, not strand them.
+    for (std::uint32_t i = 0; i < 5; i++)
+        ASSERT_TRUE(idx.insert(tail[i], i));
+    ASSERT_TRUE(idx.insert(front[0], 100));
+    ASSERT_TRUE(idx.erase(tail[0]));
+    ASSERT_TRUE(idx.erase(tail[2]));
+    for (std::uint32_t i : {1u, 3u, 4u})
+        EXPECT_EQ(idx.find(tail[i]), i);
+    EXPECT_EQ(idx.find(front[0]), 100u);
+    EXPECT_EQ(idx.find(tail[0]), FlatIndex<ReqId>::kNone);
+    EXPECT_FALSE(idx.erase(tail[0]));
+    idx.clear();
+
+    // Randomized: at most 8 live keys from the wrap cluster, checked
+    // against a reference map after every operation.
+    std::vector<ReqId> keys = tail;
+    keys.insert(keys.end(), front.begin(), front.end());
+    std::unordered_map<ReqId, std::uint32_t> ref;
+    Rng rng(99);
+    for (int step = 0; step < 50000; step++) {
+        const ReqId key = keys[rng.uniformInt(keys.size())];
+        if (rng.chance(0.5) && ref.size() < 8) {
+            const auto value = static_cast<std::uint32_t>(step);
+            ASSERT_EQ(idx.insert(key, value),
+                      ref.emplace(key, value).second);
+        } else {
+            ASSERT_EQ(idx.erase(key), ref.erase(key) == 1);
+        }
+        ASSERT_EQ(idx.size(), ref.size());
+        for (const ReqId k : keys) {
+            auto it = ref.find(k);
+            ASSERT_EQ(idx.find(k), it == ref.end()
+                                       ? FlatIndex<ReqId>::kNone
+                                       : it->second)
+                << "step " << step;
+        }
+    }
+    EXPECT_EQ(idx.tableSize(), 16u); // never grew
 }
 
 } // namespace
