@@ -21,11 +21,11 @@ namespace clio {
 std::uint32_t packetCount(std::uint64_t payload_bytes, std::uint32_t mtu);
 
 /**
- * Split and transmit a message at tick `when` (>= now).
+ * Split a message and hand its parts to `net` at tick `when`, in part
+ * order: inline if `when` <= now, else from one event at `when`.
  *
- * @param payload_bytes bytes of sliceable payload (write data or read
- *        response data); header-only messages pass 0 and still produce
- *        one packet.
+ * @param payload_bytes sliceable payload (write data or read response
+ *        data); header-only messages pass 0 and still get one packet.
  */
 void sendSplit(EventQueue &eq, Network &net, Tick when, NodeId src,
                NodeId dst, ReqId req_id, MsgType type,

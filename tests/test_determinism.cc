@@ -14,6 +14,7 @@
 
 #include "apps/kv_store.hh"
 #include "chaos/fault_plan.hh"
+#include "clib/queue.hh"
 #include "cluster/cluster.hh"
 #include "offload/chain.hh"
 #include "sim/rng.hh"
@@ -34,6 +35,27 @@ struct RunResult
      * scheduler's arbitration order in the byte-compare. */
     Tick engine_busy = 0;
     Tick engine_wait = 0;
+    /** Folded history of the pinned-history workload (0 elsewhere). */
+    std::uint64_t digest = 0;
+};
+
+/** FNV-1a over 64-bit words. */
+struct HistoryDigest
+{
+    std::uint64_t value = 1469598103934665603ull;
+
+    void
+    fold(std::uint64_t v)
+    {
+        value = (value ^ v) * 1099511628211ull;
+    }
+
+    void
+    foldBytes(const std::vector<std::uint8_t> &bytes)
+    {
+        for (std::uint8_t b : bytes)
+            fold(b);
+    }
 };
 
 RunResult
@@ -95,15 +117,14 @@ dumpStats(const char *tag, std::uint64_t seed, const RunResult &r)
         return;
     std::FILE *f = std::fopen(path, "a");
     ASSERT_NE(f, nullptr) << "cannot open CLIO_STATS_OUT " << path;
-    std::uint64_t data_hash = 1469598103934665603ull; // FNV-1a
-    for (std::uint8_t b : r.final_data)
-        data_hash = (data_hash ^ b) * 1099511628211ull;
+    HistoryDigest data_hash;
+    data_hash.foldBytes(r.final_data);
     std::fprintf(f,
                  "%s seed=%llu data=%016llx retries=%llu nacks=%llu "
                  "reordered=%llu faults=%llu end=%llu busy=%llu "
                  "wait=%llu",
                  tag, (unsigned long long)seed,
-                 (unsigned long long)data_hash,
+                 (unsigned long long)data_hash.value,
                  (unsigned long long)r.retries, (unsigned long long)r.nacks,
                  (unsigned long long)r.reordered,
                  (unsigned long long)r.page_faults,
@@ -112,6 +133,8 @@ dumpStats(const char *tag, std::uint64_t seed, const RunResult &r)
                  (unsigned long long)r.engine_wait);
     for (Tick t : r.latencies)
         std::fprintf(f, " %llu", (unsigned long long)t);
+    if (r.digest != 0)
+        std::fprintf(f, " digest=%016llx", (unsigned long long)r.digest);
     std::fprintf(f, "\n");
     std::fclose(f);
 }
@@ -432,6 +455,123 @@ TEST(Determinism, ChaosWheelHeapIdentical)
     EXPECT_EQ(wheel.page_faults, heap.page_faults);
     EXPECT_EQ(wheel.end_time, heap.end_time);
     EXPECT_EQ(wheel.latencies, heap.latencies);
+}
+
+constexpr std::uint64_t kPinnedSeed = 20220228;
+
+/**
+ * Pinned-history workload: two CNs issue overlapping 64 KiB reads and
+ * writes to one MN under loss, corruption and reordering, so
+ * multi-part messages flow in both directions at once and get NACKed,
+ * timed out and retried. Each op's latency and status, the data read,
+ * every NetStats counter and the end tick go into one digest. The
+ * executed-event count does not: a host-side change may merge events,
+ * but must not move anything simulated.
+ */
+RunResult
+runPinnedBulkWorkload(EventQueueImpl impl)
+{
+    constexpr std::uint64_t kOp = 64 * KiB;
+    constexpr std::uint64_t kRegion = 16 * kOp;
+    auto cfg = ModelConfig::prototype();
+    cfg.seed = kPinnedSeed;
+    cfg.event_queue_impl = impl;
+    cfg.net.loss_rate = 0.003;
+    cfg.net.corrupt_rate = 0.003;
+    cfg.net.reorder_rate = 0.1;
+    cfg.clib.max_retries = 10;
+    Cluster cluster(cfg, 2, 1);
+    EventQueue &eq = cluster.eventQueue();
+    ClioClient *clients[] = {&cluster.createClient(0),
+                             &cluster.createClient(1)};
+    VirtAddr bases[2];
+    for (int c = 0; c < 2; c++)
+        bases[c] = clients[c]->ralloc(kRegion).value_or(0);
+
+    RunResult out;
+    HistoryDigest digest;
+    Rng rng(kPinnedSeed);
+    CompletionQueue cq(eq);
+    for (int round = 0; round < 12; round++) {
+        // Each client has one write and one read in flight at once.
+        std::vector<std::vector<std::uint8_t>> reads(4);
+        const Tick t0 = eq.now();
+        for (int op = 0; op < 4; op++) {
+            ClioClient &client = *clients[op % 2];
+            const VirtAddr at =
+                bases[op % 2] + rng.uniformInt(kRegion - kOp + 1);
+            HandlePtr h;
+            if (op < 2) {
+                std::vector<std::uint8_t> data(kOp);
+                for (std::uint64_t i = 0; i < kOp; i++)
+                    data[i] = static_cast<std::uint8_t>(round * 31 + i * 7);
+                h = client.rwriteAsync(at, std::move(data));
+            } else {
+                reads[op].resize(kOp);
+                h = client.rreadAsync(at, reads[op].data(), kOp);
+            }
+            cq.watch(h, static_cast<std::uint64_t>(op));
+        }
+        while (cq.outstanding() + cq.ready() > 0) {
+            for (const Completion &c : cq.rpoll_cq(4)) {
+                out.latencies.push_back(c.completed_at - t0);
+                out.final_data.push_back(static_cast<std::uint8_t>(c.status));
+                digest.fold(c.tag);
+                digest.fold(c.completed_at - t0);
+                digest.fold(static_cast<std::uint64_t>(c.status));
+                if (c.ok() && c.tag >= 2)
+                    digest.foldBytes(reads[c.tag]);
+            }
+        }
+    }
+    // Read every region back, one 64 KiB message at a time.
+    std::vector<std::uint8_t> back(kOp);
+    for (int c = 0; c < 2; c++) {
+        for (std::uint64_t off = 0; off < kRegion; off += kOp) {
+            const Status st = clients[c]->rread(bases[c] + off,
+                                                back.data(), kOp);
+            digest.fold(static_cast<std::uint64_t>(st));
+            if (st == Status::kOk)
+                digest.foldBytes(back);
+        }
+    }
+    for (std::uint32_t cn = 0; cn < 2; cn++) {
+        out.retries += cluster.cn(cn).stats().retries;
+        out.nacks += cluster.cn(cn).stats().nacks;
+    }
+    const NetStats &ns = cluster.network().stats();
+    for (std::uint64_t v :
+         {ns.sent, ns.delivered, ns.dropped_random, ns.dropped_queue,
+          ns.dropped_agg_queue, ns.dropped_down, ns.dropped_fault,
+          ns.duplicated, ns.corrupted, ns.reordered, ns.bytes_delivered,
+          ns.cross_rack, ns.pfc_stalls, ns.pfc_stall_ticks,
+          std::uint64_t{ns.peak_queue_depth}, ns.priority_bypass})
+        digest.fold(v);
+    out.reordered = ns.reordered;
+    out.page_faults = cluster.mn(0).stats().page_faults;
+    out.end_time = eq.now();
+    digest.fold(out.end_time);
+    out.digest = digest.value;
+    return out;
+}
+
+TEST(Determinism, PinnedBulkHistory)
+{
+    // Recorded when sendSplit still spent one event per packet. Event
+    // merging must leave it as is; only a change to what is simulated
+    // may move it.
+    constexpr std::uint64_t kPinnedDigest = 0x0e76a149092b84b7ull;
+    const RunResult wheel =
+        runPinnedBulkWorkload(EventQueueImpl::kTimingWheel);
+    const RunResult heap = runPinnedBulkWorkload(EventQueueImpl::kBinaryHeap);
+    dumpStats("pinned", kPinnedSeed, wheel);
+    EXPECT_EQ(wheel.digest, heap.digest);
+    EXPECT_EQ(wheel.digest, kPinnedDigest)
+        << std::hex << "digest " << wheel.digest;
+    // The faults really fired, on multi-part messages.
+    EXPECT_GT(wheel.retries, 0u);
+    EXPECT_GT(wheel.nacks, 0u);
+    EXPECT_GT(wheel.reordered, 0u);
 }
 
 } // namespace

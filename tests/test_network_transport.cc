@@ -206,6 +206,55 @@ TEST(Wire, SplitCoversPayloadExactly)
     EXPECT_EQ(covered, payload);
 }
 
+TEST(Wire, FutureSplitIsOneEventInPartOrder)
+{
+    // Jitter on: the split must make the same RNG draws, in the same
+    // order, as back-to-back direct sends at `when`.
+    const NetConfig cfg;
+    ASSERT_GT(cfg.switch_jitter_mean, 0u);
+    const std::uint32_t payload_per = cfg.mtu - kPacketHeaderBytes;
+    const std::uint64_t payload = 10 * payload_per;
+    const Tick when = 5 * kMicrosecond;
+
+    EventQueue eq;
+    Network net(eq, cfg, 7);
+    std::vector<Packet> got;
+    std::vector<Tick> got_at;
+    NodeId a = net.addNode(nullptr);
+    NodeId b = net.addNode([&](Packet pkt) {
+        got.push_back(pkt);
+        got_at.push_back(eq.now());
+    });
+    sendSplit(eq, net, when, a, b, 42, MsgType::kWrite, payload,
+              std::make_shared<RequestMsg>());
+    EXPECT_EQ(eq.pending(), 1u);
+    std::uint64_t sent_after_split = 0;
+    eq.schedule(when, [&] { sent_after_split = net.stats().sent; });
+    eq.runAll();
+    EXPECT_EQ(sent_after_split, 10u);
+    ASSERT_EQ(got.size(), 10u);
+    for (std::uint32_t part = 0; part < 10; part++)
+        EXPECT_EQ(got[part].part, part);
+
+    // Twin network, same seed: ten direct sends at `when`.
+    EventQueue twin_eq;
+    Network twin(twin_eq, cfg, 7);
+    std::vector<Tick> twin_at;
+    NodeId ta = twin.addNode(nullptr);
+    NodeId tb =
+        twin.addNode([&](Packet) { twin_at.push_back(twin_eq.now()); });
+    twin_eq.schedule(when, [&] {
+        for (std::uint32_t part = 0; part < 10; part++) {
+            Packet pkt = makePacket(ta, tb, cfg.mtu, 42);
+            pkt.part = part;
+            pkt.total_parts = 10;
+            twin.send(std::move(pkt));
+        }
+    });
+    twin_eq.runAll();
+    EXPECT_EQ(got_at, twin_at);
+}
+
 TEST(CNode, RetryGetsFreshIdKeepsOriginal)
 {
     // Total loss for the first attempt; capture ids at the MN.
