@@ -6,6 +6,9 @@
  * (bypassing the 10 Gbps port), measuring the pipeline's intrinsic
  * throughput: >110 Gbps for large requests; reads below writes at
  * small sizes because of the non-pipelined DMA IP's setup cost.
+ * Exits nonzero unless both series exceed 110 Gbps at sizes >= 1 KiB,
+ * neither exceeds the 128 Gbps datapath ceiling, and reads are below
+ * writes at sizes <= 256 B.
  */
 
 #include <cstring>
@@ -75,14 +78,27 @@ main()
     bench::banner("Fig. 9", "On-board goodput (Gbps) vs request size "
                             "(FPGA traffic generator, no port cap)");
     bench::header({"size(B)", "Read", "Write"});
+    bool ok = true;
     for (std::uint64_t sz : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u,
                              8192u}) {
-        bench::row(std::to_string(sz),
-                   {onboardGbps(sz, false), onboardGbps(sz, true)});
+        const double read = onboardGbps(sz, false);
+        const double write = onboardGbps(sz, true);
+        bench::row(std::to_string(sz), {read, write});
+        if (sz >= 1024 && (read <= 110 || write <= 110))
+            ok = false;
+        if (read > 128 || write > 128)
+            ok = false;
+        if (sz <= 256 && read >= write)
+            ok = false;
     }
     bench::note("expected shape: both exceed 110 Gbps at large sizes "
                 "(512-bit datapath at 250 MHz = 128 Gbps ceiling); "
                 "read < write at small sizes due to DMA setup cost "
                 "(paper Fig. 9).");
+    if (!ok) {
+        bench::note("FAIL: goodput outside (110, 128] Gbps at >= 1 KiB, "
+                    "above 128 Gbps, or read >= write at <= 256 B");
+        return 1;
+    }
     return 0;
 }

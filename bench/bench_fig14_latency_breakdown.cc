@@ -4,7 +4,9 @@
  * writes: wire serialization, on-board interconnect/DMA setup, TLB
  * lookup, TLB-miss DRAM fetch, and the data DRAM access. Values come
  * from the same calibrated constants the simulator charges, plus a
- * measured cross-check of the end-to-end totals.
+ * measured cross-check of the on-board totals. Exits nonzero unless
+ * the measured miss row costs exactly one DRAM access more than the
+ * hit row.
  */
 
 #include "cluster/cluster.hh"
@@ -46,9 +48,11 @@ breakdown(const ModelConfig &cfg, std::uint64_t size, bool is_write,
     return b;
 }
 
-/** Measured on-board time for a warm request (cross-check). */
-double
-measuredNs(const ModelConfig &cfg, std::uint64_t size, bool is_write)
+/** Measured on-board time of one request after a warm-up; with
+ * `tlb_miss` the warm-up's TLB entry is dropped again (cross-check). */
+Tick
+measuredTicks(const ModelConfig &cfg, std::uint64_t size, bool is_write,
+              bool tlb_miss)
 {
     Cluster cluster(cfg, 1, 1);
     CBoard &mn = cluster.mn(0);
@@ -69,11 +73,12 @@ measuredNs(const ModelConfig &cfg, std::uint64_t size, bool is_write)
     ResponseMsg resp;
     req.req_id = 1;
     mn.serviceFastPath(req, 0, resp); // warm TLB
+    if (tlb_miss)
+        mn.tlb().invalidate(pid, vpn);
     req.req_id = 2;
     ResponseMsg resp2;
     const Tick start = 10 * kMicrosecond;
-    const Tick done = mn.serviceFastPath(req, start, resp2);
-    return ticksToNs(done - start);
+    return mn.serviceFastPath(req, start, resp2) - start;
 }
 
 } // namespace
@@ -93,6 +98,7 @@ main()
         bool is_write;
         bool tlb_miss;
     };
+    Tick hit = 0, miss = 0;
     for (const Case &c :
          {Case{"R-4B", 4, false, false}, Case{"R-4B-miss", 4, false, true},
           Case{"R-1KB", 1024, false, false},
@@ -100,12 +106,20 @@ main()
           Case{"W-1KB", 1024, true, false}}) {
         const Breakdown b = breakdown(cfg, c.size, c.is_write,
                                       c.tlb_miss);
+        const Tick measured =
+            measuredTicks(cfg, c.size, c.is_write, c.tlb_miss);
+        if (c.size == 4 && !c.is_write)
+            (c.tlb_miss ? miss : hit) = measured;
         bench::row(c.name, {b.wire_ns, b.interconn_ns, b.tlb_hit_ns,
-                            b.tlb_miss_ns, b.ddr_ns,
-                            measuredNs(cfg, c.size, c.is_write)});
+                            b.tlb_miss_ns, b.ddr_ns, ticksToNs(measured)});
     }
     bench::note("expected shape: DDR access and wire serialization "
                 "dominate, growing with size; TLB miss adds exactly "
                 "one DRAM access (paper Fig. 14).");
+    if (miss - hit != cfg.dram.access_latency) {
+        bench::note("FAIL: measured R-4B-miss - R-4B is not exactly "
+                    "one DRAM access");
+        return 1;
+    }
     return 0;
 }

@@ -218,73 +218,47 @@ CBoard::onPacket(Packet pkt)
       case MsgType::kAtomic:
       case MsgType::kFence: {
         Inflight &inflight = inflightFor(pkt.req_id);
-        if (inflight.total_parts == 0) {
-            inflight.total_parts = pkt.total_parts;
-            inflight.req =
-                std::static_pointer_cast<const RequestMsg>(pkt.msg);
-            inflight.seen_bits.assign((pkt.total_parts + 63) / 64, 0);
-            // Dedup check happens once per request (T4): a retried
-            // write/atomic whose original executed is suppressed.
-            if (pkt.type == MsgType::kWrite ||
-                pkt.type == MsgType::kAtomic) {
-                if (auto cached = dedup_.find(inflight.req->orig_req_id)) {
-                    inflight.suppressed = true;
-                    dedup_.noteSuppressed();
-                    (void)*cached;
-                }
-            }
+        if (!acceptPart(pkt, inflight))
+            break;
+        // Dedup check happens once per request (T4): a retried
+        // write/atomic whose original executed is suppressed, and its
+        // response replays the original's cached result.
+        if (inflight.parts_seen == 1 && (pkt.type == MsgType::kWrite ||
+                                         pkt.type == MsgType::kAtomic)) {
+            inflight.replayed = dedup_.find(inflight.req->orig_req_id);
+            if (inflight.replayed)
+                dedup_.noteSuppressed();
         }
-        // Per-part dedup: a switch-duplicated packet must not count
-        // twice toward total_parts (it would complete the request with
-        // a sibling part missing). Re-execution of whole duplicated
-        // REQUESTS after completion is handled by the dedup buffer.
-        {
-            const std::size_t word = pkt.part >> 6;
-            const std::uint64_t bit = 1ull << (pkt.part & 63);
-            if (word >= inflight.seen_bits.size() ||
-                (inflight.seen_bits[word] & bit)) {
-                stats_.dup_parts_dropped++;
-                inflight.last_seen = eq_.now();
-                break;
-            }
-            inflight.seen_bits[word] |= bit;
-        }
-        inflight.parts_seen++;
-        inflight.last_seen = eq_.now();
-        fastPathPacket(pkt, inflight);
-        if (inflight.parts_seen == inflight.total_parts) {
-            const auto &req = *inflight.req;
-            auto resp = resp_pool_.acquire();
-            resp->req_id = req.req_id;
-            resp->status = inflight.status;
-            if (inflight.status == Status::kOk) {
-                if (req.type == MsgType::kRead) {
-                    // The fast path streamed the data out while
-                    // processing; materialize it into the response.
-                    resp->data.resize(req.size);
-                    readFunctional(req.pid, req.addr, resp->data.data(),
-                                   req.size);
-                } else if (req.type == MsgType::kAtomic) {
-                    resp->value = inflight.atomic_result;
-                }
-            }
+        // Only writes carry a payload, so reads, atomics and fences are
+        // one packet: their response exists before they execute, and
+        // the core fills it in place.
+        const bool last = inflight.parts_seen == inflight.total_parts;
+        std::shared_ptr<ResponseMsg> resp;
+        if (last)
+            resp = resp_pool_.acquire();
+        fastPathPacket(pkt, inflight, resp.get());
+        if (!last)
+            break;
+        const auto &req = *inflight.req;
+        resp->req_id = req.req_id;
+        resp->status = inflight.status;
+        if (inflight.replayed) {
+            resp->value = *inflight.replayed;
+        } else if (inflight.status == Status::kOk) {
             // Record non-idempotent completions in the dedup buffer
             // under the ORIGINAL attempt id (T4).
-            if (inflight.status == Status::kOk && !inflight.suppressed) {
-                if (req.type == MsgType::kWrite)
-                    dedup_.record(req.orig_req_id);
-                else if (req.type == MsgType::kAtomic)
-                    dedup_.record(req.orig_req_id,
-                                  inflight.atomic_result);
-            }
-            const Tick when = inflight.done +
-                              cfg_.fast_path.respond_cycles *
-                                  cfg_.fast_path.cycle +
-                              cfg_.fast_path.mac_latency;
-            last_op_done_ = std::max(last_op_done_, inflight.done);
-            respondAt(when, req.src, req.req_id, std::move(resp));
-            releaseInflight(req.req_id);
+            if (req.type == MsgType::kWrite)
+                dedup_.record(req.orig_req_id);
+            else if (req.type == MsgType::kAtomic)
+                dedup_.record(req.orig_req_id, resp->value);
         }
+        const Tick when = inflight.done +
+                          cfg_.fast_path.respond_cycles *
+                              cfg_.fast_path.cycle +
+                          cfg_.fast_path.mac_latency;
+        last_op_done_ = std::max(last_op_done_, inflight.done);
+        respondAt(when, req.src, req.req_id, std::move(resp));
+        releaseInflight(req.req_id);
         break;
       }
       case MsgType::kAlloc:
@@ -301,9 +275,46 @@ CBoard::onPacket(Packet pkt)
     }
 }
 
+bool
+CBoard::acceptPart(const Packet &pkt, Inflight &inflight)
+{
+    inflight.last_seen = eq_.now();
+    if (inflight.total_parts == 0) {
+        inflight.total_parts = pkt.total_parts;
+        inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
+        inflight.seen_bits.assign((pkt.total_parts + 63) / 64, 0);
+    }
+    // Per-part dedup: a switch-duplicated packet must not count twice
+    // toward total_parts (it would complete the request with a sibling
+    // part missing). Re-execution of whole duplicated REQUESTS after
+    // completion is handled by the dedup buffer.
+    const std::size_t word = pkt.part >> 6;
+    const std::uint64_t bit = 1ull << (pkt.part & 63);
+    if (word >= inflight.seen_bits.size() ||
+        (inflight.seen_bits[word] & bit)) {
+        stats_.dup_parts_dropped++;
+        return false;
+    }
+    inflight.seen_bits[word] |= bit;
+    inflight.parts_seen++;
+    return true;
+}
+
 // ---------------------------------------------------------------------
 // Fast path
 // ---------------------------------------------------------------------
+
+Tick
+CBoard::pipelineAdmit(Tick head, std::uint64_t bytes)
+{
+    // II = 1: the pipeline is occupied one datapath word per cycle.
+    const FastPathConfig &fp = cfg_.fast_path;
+    const std::uint64_t word_bytes = cfg_.datapathBytesPerCycle();
+    const std::uint64_t words = std::max<std::uint64_t>(
+        1, (bytes + word_bytes - 1) / word_bytes);
+    pipeline_free_ = std::max(head, pipeline_free_) + words * fp.cycle;
+    return pipeline_free_ + fp.parse_cycles * fp.cycle;
+}
 
 std::optional<Pte>
 CBoard::translateOne(ProcId pid, VirtAddr va, bool is_write, Tick &t,
@@ -357,27 +368,6 @@ CBoard::translateOne(ProcId pid, VirtAddr va, bool is_write, Tick &t,
     return pte;
 }
 
-bool
-CBoard::readFunctional(ProcId pid, VirtAddr va, void *dst,
-                       std::uint64_t len)
-{
-    const std::uint64_t page_size = cfg_.page_table.page_size;
-    auto *out = static_cast<std::uint8_t *>(dst);
-    while (len > 0) {
-        const std::uint64_t vpn = va / page_size;
-        const std::uint64_t in_page = va % page_size;
-        const std::uint64_t n = std::min(len, page_size - in_page);
-        const Pte *pte = page_table_.lookup(pid, vpn);
-        if (!pte || !pte->present)
-            return false;
-        memory_.read(pte->frame + in_page, out, n);
-        out += n;
-        va += n;
-        len -= n;
-    }
-    return true;
-}
-
 Tick
 CBoard::memoryAccess(Tick t, std::uint64_t bytes, bool is_write)
 {
@@ -393,129 +383,127 @@ CBoard::memoryAccess(Tick t, std::uint64_t bytes, bool is_write)
     return start + setup + cfg_.dram.access_latency + xfer;
 }
 
-void
-CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight)
+Tick
+CBoard::accessPages(ProcId pid, VirtAddr va, std::uint8_t *buf,
+                    std::uint64_t len, bool is_write, Tick t,
+                    Status &status, OffloadCost *split)
 {
-    const auto &req = *inflight.req;
-    const FastPathConfig &fp = cfg_.fast_path;
-
-    // Ingress MAC/PHY, fence gate, and pipeline occupancy (II = 1:
-    // one datapath word per cycle). Read responses stream their
-    // payload back through the same datapath, so a read occupies the
-    // pipeline for its response bytes as well.
-    Tick t = eq_.now() + fp.mac_latency;
-    t = std::max(t, gate_open_);
-    const std::uint64_t egress_bytes =
-        req.type == MsgType::kRead && pkt.part == 0 ? req.size : 0;
-    const std::uint64_t words =
-        std::max<std::uint64_t>(1, (pkt.wire_bytes + egress_bytes +
-                                    datapathBytes() - 1) /
-                                       datapathBytes());
-    t = std::max(t, pipeline_free_);
-    pipeline_free_ = t + words * fp.cycle;
-    t += words * fp.cycle + fp.parse_cycles * fp.cycle;
-
-    if (inflight.status != Status::kOk || inflight.suppressed) {
-        // Earlier part failed, or duplicate: skip execution, keep
-        // timing cheap for remaining parts.
-        inflight.done = std::max(inflight.done, t);
-        return;
+    const std::uint64_t page_size = cfg_.page_table.page_size;
+    while (len > 0) {
+        const std::uint64_t in_page = va % page_size;
+        const std::uint64_t n = std::min(len, page_size - in_page);
+        const Tick start = t;
+        auto pte = translateOne(pid, va, is_write, t, status);
+        if (!pte)
+            return t;
+        const Tick translated = t;
+        if (is_write)
+            memory_.write(pte->frame + in_page, buf, n);
+        else
+            memory_.read(pte->frame + in_page, buf, n);
+        t = memoryAccess(t, n, is_write);
+        if (split) {
+            split->translate += translated - start;
+            split->dram += t - translated;
+        }
+        va += n;
+        buf += n;
+        len -= n;
     }
+    return t;
+}
 
-    Status status = Status::kOk;
+Tick
+CBoard::executeFastPath(const RequestMsg &req, std::uint64_t offset,
+                        std::uint64_t len, bool first_part, Tick t,
+                        Status &status, ResponseMsg *resp)
+{
     switch (req.type) {
-      case MsgType::kRead: {
+      case MsgType::kRead:
         stats_.reads++;
-        stats_.bytes_read += req.size;
-        // Translate + access each covered page.
-        VirtAddr va = req.addr;
-        std::uint64_t len = req.size;
-        const std::uint64_t page_size = cfg_.page_table.page_size;
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, false, t, status);
-            if (pte)
-                t = memoryAccess(t, n, false);
-            va += n;
-            len -= n;
-        }
-        break;
-      }
-      case MsgType::kWrite: {
-        // This packet carries payload [payload_offset, +payload_len).
-        if (pkt.part == 0) {
+        resp->data.resize(req.size);
+        t = accessPages(req.pid, req.addr, resp->data.data(), req.size,
+                        false, t, status);
+        if (status != Status::kOk)
+            resp->data.clear();
+        return t;
+      case MsgType::kWrite:
+        if (first_part)
             stats_.writes++;
-            stats_.bytes_written += req.size;
-        }
-        VirtAddr va = req.addr + pkt.payload_offset;
-        std::uint64_t len = pkt.payload_len;
-        const std::uint8_t *src = req.data.data() + pkt.payload_offset;
-        const std::uint64_t page_size = cfg_.page_table.page_size;
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, true, t, status);
-            if (pte) {
-                memory_.write(pte->frame + in_page, src, n);
-                t = memoryAccess(t, n, true);
-            }
-            va += n;
-            src += n;
-            len -= n;
-        }
-        break;
-      }
+        // A write only reads from the buffer.
+        return accessPages(
+            req.pid, req.addr + offset,
+            const_cast<std::uint8_t *>(req.data.data()) + offset, len,
+            true, t, status);
       case MsgType::kAtomic: {
         stats_.atomics++;
         auto pte = translateOne(req.pid, req.addr, true, t, status);
-        if (pte) {
-            // The synchronization unit serializes atomics (T3).
-            t = std::max(t, atomic_free_);
-            const PhysAddr pa =
-                pte->frame + req.addr % cfg_.page_table.page_size;
-            t = memoryAccess(t, 8, true);
-            const std::uint64_t old = memory_.read64(pa);
-            switch (req.aop) {
-              case AtomicOp::kTestAndSet:
-                memory_.write64(pa, 1);
-                // Successful rlock acquire: remember which CN holds
-                // it so the controller's CN-death GC can release it.
-                if (old == 0)
-                    lock_owners_[{req.pid, req.addr}] = req.src;
-                break;
-              case AtomicOp::kStore:
-                memory_.write64(pa, req.arg0);
-                // runlock (store 0) releases ownership.
-                if (req.arg0 == 0)
-                    lock_owners_.erase({req.pid, req.addr});
-                break;
-              case AtomicOp::kFetchAdd:
-                memory_.write64(pa, old + req.arg0);
-                break;
-              case AtomicOp::kCompareSwap:
-                if (old == req.arg0)
-                    memory_.write64(pa, req.arg1);
-                break;
-            }
-            inflight.atomic_result = old;
-            atomic_free_ = t;
+        if (!pte)
+            return t;
+        // The synchronization unit serializes atomics (T3).
+        t = std::max(t, atomic_free_);
+        const PhysAddr pa =
+            pte->frame + req.addr % cfg_.page_table.page_size;
+        t = memoryAccess(t, 8, true);
+        const std::uint64_t old = memory_.read64(pa);
+        switch (req.aop) {
+          case AtomicOp::kTestAndSet:
+            memory_.write64(pa, 1);
+            // Successful rlock acquire: remember which CN holds it so
+            // the controller's CN-death GC can release it.
+            if (old == 0)
+                lock_owners_[{req.pid, req.addr}] = req.src;
+            break;
+          case AtomicOp::kStore:
+            memory_.write64(pa, req.arg0);
+            // runlock (store 0) releases ownership.
+            if (req.arg0 == 0)
+                lock_owners_.erase({req.pid, req.addr});
+            break;
+          case AtomicOp::kFetchAdd:
+            memory_.write64(pa, old + req.arg0);
+            break;
+          case AtomicOp::kCompareSwap:
+            if (old == req.arg0)
+                memory_.write64(pa, req.arg1);
+            break;
         }
-        break;
+        resp->value = old;
+        atomic_free_ = t;
+        return t;
       }
-      case MsgType::kFence: {
+      case MsgType::kFence:
         stats_.fences++;
         // Block until every inflight op completes, and gate later
         // arrivals until then (T3).
         t = std::max(t, last_op_done_);
         gate_open_ = std::max(gate_open_, t);
-        break;
-      }
+        return t;
       default:
-        clio_panic("non-fast-path type in fastPathPacket");
+        clio_panic("non-fast-path type in executeFastPath");
     }
+}
 
-    inflight.status = status;
+void
+CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight,
+                       ResponseMsg *resp)
+{
+    const auto &req = *inflight.req;
+    clio_assert(resp || req.type == MsgType::kWrite,
+                "only writes span several packets");
+    // Ingress MAC/PHY, the fence gate, then the pipeline. Read
+    // responses stream their payload back through the same datapath,
+    // so a read occupies the pipeline for its response bytes as well.
+    const std::uint64_t egress_bytes =
+        req.type == MsgType::kRead && pkt.part == 0 ? req.size : 0;
+    Tick t = pipelineAdmit(
+        std::max(eq_.now() + cfg_.fast_path.mac_latency, gate_open_),
+        pkt.wire_bytes + egress_bytes);
+    // An earlier part failed, or a suppressed duplicate: skip
+    // execution, keep timing cheap for the remaining parts.
+    if (inflight.status == Status::kOk && !inflight.replayed)
+        t = executeFastPath(req, pkt.payload_offset, pkt.payload_len,
+                            pkt.part == 0, t, inflight.status, resp);
     inflight.done = std::max(inflight.done, t);
 }
 
@@ -523,70 +511,18 @@ Tick
 CBoard::serviceFastPath(const RequestMsg &req, Tick ready,
                         ResponseMsg &resp)
 {
-    // Whole-request variant used by the on-board traffic generator
-    // (Fig. 9) and unit tests: same logic as the per-packet path, with
-    // the full payload as one unit.
-    const FastPathConfig &fp = cfg_.fast_path;
-    // Payload crosses the datapath once in either direction (write
-    // ingress or read-response egress).
-    const std::uint64_t wire = req.size + kPacketHeaderBytes;
-    Tick t = std::max(ready, gate_open_);
-    const std::uint64_t words = std::max<std::uint64_t>(
-        1, (wire + datapathBytes() - 1) / datapathBytes());
-    t = std::max(t, pipeline_free_);
-    pipeline_free_ = t + words * fp.cycle;
-    t += words * fp.cycle + fp.parse_cycles * fp.cycle;
-
-    Status status = Status::kOk;
-    const std::uint64_t page_size = cfg_.page_table.page_size;
-    switch (req.type) {
-      case MsgType::kRead: {
-        stats_.reads++;
-        stats_.bytes_read += req.size;
-        resp.data.resize(req.size);
-        VirtAddr va = req.addr;
-        std::uint64_t len = req.size;
-        std::uint8_t *dst = resp.data.data();
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, false, t, status);
-            if (pte) {
-                memory_.read(pte->frame + in_page, dst, n);
-                t = memoryAccess(t, n, false);
-            }
-            va += n;
-            dst += n;
-            len -= n;
-        }
-        break;
-      }
-      case MsgType::kWrite: {
-        stats_.writes++;
-        stats_.bytes_written += req.size;
-        VirtAddr va = req.addr;
-        std::uint64_t len = req.size;
-        const std::uint8_t *src = req.data.data();
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, true, t, status);
-            if (pte) {
-                memory_.write(pte->frame + in_page, src, n);
-                t = memoryAccess(t, n, true);
-            }
-            va += n;
-            src += n;
-            len -= n;
-        }
-        break;
-      }
-      default:
+    if (req.type != MsgType::kRead && req.type != MsgType::kWrite)
         clio_panic("serviceFastPath supports read/write only");
-    }
+    // The whole request is one unit at the pipeline head: its payload
+    // crosses the datapath once in either direction (write ingress or
+    // read-response egress).
+    Tick t = pipelineAdmit(std::max(ready, gate_open_),
+                           req.size + kPacketHeaderBytes);
+    Status status = Status::kOk;
+    t = executeFastPath(req, 0, req.size, true, t, status, &resp);
     resp.req_id = req.req_id;
     resp.status = status;
-    t += fp.respond_cycles * fp.cycle;
+    t += cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle;
     last_op_done_ = std::max(last_op_done_, t);
     return t;
 }
@@ -791,34 +727,12 @@ void
 CBoard::extendPathPacket(const Packet &pkt)
 {
     Inflight &inflight = inflightFor(pkt.req_id);
-    if (inflight.total_parts == 0) {
-        inflight.total_parts = pkt.total_parts;
-        inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
-        inflight.seen_bits.assign((pkt.total_parts + 63) / 64, 0);
-    }
-    {
-        // Same per-part dedup as the fast path.
-        const std::size_t word = pkt.part >> 6;
-        const std::uint64_t bit = 1ull << (pkt.part & 63);
-        if (word >= inflight.seen_bits.size() ||
-            (inflight.seen_bits[word] & bit)) {
-            stats_.dup_parts_dropped++;
-            inflight.last_seen = eq_.now();
-            return;
-        }
-        inflight.seen_bits[word] |= bit;
-    }
-    inflight.parts_seen++;
-    inflight.last_seen = eq_.now();
+    if (!acceptPart(pkt, inflight))
+        return;
     const FastPathConfig &fp = cfg_.fast_path;
-    Tick t = eq_.now() + fp.mac_latency;
-    const std::uint64_t words = std::max<std::uint64_t>(
-        1, (pkt.wire_bytes + datapathBytes() - 1) / datapathBytes());
-    t = std::max(t, pipeline_free_);
-    pipeline_free_ = t + words * fp.cycle;
-    t += words * fp.cycle + fp.parse_cycles * fp.cycle;
-    inflight.done = std::max(inflight.done, t);
-
+    inflight.done = std::max(
+        inflight.done,
+        pipelineAdmit(eq_.now() + fp.mac_latency, pkt.wire_bytes));
     if (inflight.parts_seen < inflight.total_parts)
         return;
 
@@ -874,43 +788,6 @@ CBoard::invokeOffloadLocal(std::uint32_t offload_id,
 {
     stats_.offload_calls++;
     return offload_rt_.invokeLocal(*this, offload_id, arg, result, split);
-}
-
-Tick
-CBoard::vmAccess(ProcId pid, VirtAddr addr, void *buf, std::uint64_t len,
-                 bool is_write, Tick start, OffloadCost *split)
-{
-    Tick t = std::max(start, eq_.now());
-    Status status = Status::kOk;
-    const std::uint64_t page_size = cfg_.page_table.page_size;
-    VirtAddr va = addr;
-    std::uint64_t remaining = len;
-    auto *cursor = static_cast<std::uint8_t *>(buf);
-    while (remaining > 0) {
-        const std::uint64_t in_page = va % page_size;
-        const std::uint64_t n = std::min(remaining, page_size - in_page);
-        Tick before = t;
-        auto pte = translateOne(pid, va, is_write, t, status);
-        if (!pte)
-            return kTickMax;
-        if (split)
-            split->translate += t - before;
-        if (is_write) {
-            memory_.write(pte->frame + in_page, cursor, n);
-            stats_.bytes_written += n;
-        } else {
-            memory_.read(pte->frame + in_page, cursor, n);
-            stats_.bytes_read += n;
-        }
-        before = t;
-        t = memoryAccess(t, n, is_write);
-        if (split)
-            split->dram += t - before;
-        va += n;
-        cursor += n;
-        remaining -= n;
-    }
-    return t;
 }
 
 // ---------------------------------------------------------------------
@@ -1015,12 +892,6 @@ CBoard::heartbeatTick()
     eq_.scheduleAfter(hb_period_, [this] { heartbeatTick(); });
 }
 
-std::uint64_t
-CBoard::datapathBytes() const
-{
-    return cfg_.fast_path.datapath_bits / 8;
-}
-
 // ---------------------------------------------------------------------
 // OffloadVm
 // ---------------------------------------------------------------------
@@ -1056,34 +927,39 @@ OffloadVm::free(VirtAddr addr)
 }
 
 bool
-OffloadVm::read(VirtAddr addr, void *dst, std::uint64_t len)
+OffloadVm::access(VirtAddr addr, std::uint8_t *buf, std::uint64_t len,
+                  bool is_write)
 {
     // The invocation's logical clock runs `cost_` ahead of its start
     // tick; resources (DRAM occupancy) are shared in absolute time.
-    // vmAccess attributes the access' time per component; the deltas
+    // The core attributes the access' time per component; the deltas
     // sum to done - start, so the invariant cost_.total() ==
     // done - start_at_ is preserved exactly.
-    const Tick start = start_at_ + cost_.total();
+    const Tick start = std::max(start_at_ + cost_.total(),
+                                board_.eq_.now());
+    Status status = Status::kOk;
     OffloadCost delta;
-    const Tick done =
-        board_.vmAccess(pid_, addr, dst, len, false, start, &delta);
-    if (done == kTickMax)
+    board_.accessPages(pid_, addr, buf, len, is_write, start, status,
+                       &delta);
+    if (status != Status::kOk)
         return false; // fault: no time charged (existing semantics)
     cost_ += delta;
     return true;
 }
 
 bool
+OffloadVm::read(VirtAddr addr, void *dst, std::uint64_t len)
+{
+    return access(addr, static_cast<std::uint8_t *>(dst), len, false);
+}
+
+bool
 OffloadVm::write(VirtAddr addr, const void *src, std::uint64_t len)
 {
-    const Tick start = start_at_ + cost_.total();
-    OffloadCost delta;
-    const Tick done = board_.vmAccess(
-        pid_, addr, const_cast<void *>(src), len, true, start, &delta);
-    if (done == kTickMax)
-        return false;
-    cost_ += delta;
-    return true;
+    // A write only reads from the buffer.
+    return access(addr,
+                  static_cast<std::uint8_t *>(const_cast<void *>(src)),
+                  len, true);
 }
 
 std::optional<std::uint64_t>

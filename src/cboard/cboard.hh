@@ -18,6 +18,12 @@
  *    dedup buffer for retried non-idempotent requests (T4) and the
  *    synchronization unit for rlock/rfence (T3).
  *
+ * All data accesses share one core: network requests (per packet),
+ * serviceFastPath() (one whole request at the pipeline head) and
+ * offload VM accesses run the same per-page translate -> copy -> DRAM
+ * loop, and the first two the same request executor and pipeline
+ * admission charge.
+ *
  * Correctness-affecting operations mutate functional state (real bytes
  * in PhysicalMemory) at packet-arrival order, while the timing model
  * computes when the response is emitted; CLib's ordering layer (T2)
@@ -32,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cboard/dedup_buffer.hh"
@@ -67,8 +74,6 @@ struct CBoardStats
     std::uint64_t bad_address = 0;
     std::uint64_t perm_denied = 0;
     std::uint64_t out_of_memory = 0;
-    std::uint64_t bytes_read = 0;
-    std::uint64_t bytes_written = 0;
     std::uint64_t alloc_retries = 0;
     /** Times this board was crashed by the failure layer. */
     std::uint64_t crashes = 0;
@@ -160,10 +165,12 @@ class CBoard
     void setWindowedMode(bool on) { windowed_mode_ = on; }
 
     /**
-     * Fast-path timing for one request, bypassing the network — used
-     * by the on-board traffic generator bench (Fig. 9) and by offload
-     * cost accounting. Mutates functional state exactly like a network
-     * request would.
+     * Fast-path timing for one read or write, bypassing the network —
+     * used by the on-board traffic generator bench (Fig. 9), Fig. 14,
+     * DevBoard and tests. It runs the same executor and per-page core
+     * as a network request, with the whole payload as one unit; it
+     * skips the MAC, the dedup buffer and response emission. Mutates
+     * functional state exactly like a network request would.
      *
      * @param ready tick at which the request is at the pipeline head.
      * @param[out] resp filled with status/data/value.
@@ -182,11 +189,6 @@ class CBoard
                        ResponseMsg &resp, bool populate = false);
     Tick slowPathFree(ProcId pid, VirtAddr addr, ResponseMsg &resp);
     /** @} */
-
-    /** Functional (zero-time) read through the page table; used when
-     * assembling a read response and by tests. False on fault. */
-    bool readFunctional(ProcId pid, VirtAddr va, void *dst,
-                        std::uint64_t len);
 
     /** Invoke a registered offload directly (no network) — the
      * developer-simulator path (§5) and offload unit tests.
@@ -237,15 +239,6 @@ class CBoard
     std::uint64_t releaseLocksOwnedBy(NodeId cn);
     /** @} */
 
-    /** Offload VM access used by OffloadVm (translate + move bytes).
-     * @param start the offload's logical time (>= now; an invocation
-     *        accumulates cost ahead of the simulation clock).
-     * @param split when non-null, accumulates the access' time per
-     *        component (translate / dram).
-     * @return completion tick, or kTickMax on fault. */
-    Tick vmAccess(ProcId pid, VirtAddr addr, void *buf, std::uint64_t len,
-                  bool is_write, Tick start, OffloadCost *split = nullptr);
-
   private:
     friend class OffloadVm;
 
@@ -263,13 +256,13 @@ class CBoard
         Tick done = 0;
         /** Set when any part failed translation/permission. */
         Status status = Status::kOk;
-        /** Duplicate write suppressed by the dedup buffer. */
-        bool suppressed = false;
+        /** Set when the dedup buffer suppresses this retried
+         * write/atomic: the original's cached result (T4), which the
+         * response replays. */
+        std::optional<std::uint64_t> replayed;
         /** Per-part seen bitmap: switch-duplicated packets (chaos
          * hook) must not double-count toward total_parts. */
         std::vector<std::uint64_t> seen_bits;
-        /** Old value returned by an atomic. */
-        std::uint64_t atomic_result = 0;
         /** Arrival tick of the most recent packet: an abandoned
          * request (remaining packets lost, client retried under a new
          * id) stops receiving packets, which is what the GC keys on.
@@ -297,8 +290,45 @@ class CBoard
     /** Self-rescheduling heartbeat emission. */
     void heartbeatTick();
 
-    /** Handle one fast-path packet (read/write slice/atomic/fence). */
-    void fastPathPacket(const Packet &pkt, Inflight &inflight);
+    /** Count one packet of a multi-part request: the first sight sets
+     * up the slot; a part already seen (a switch-duplicated packet)
+     * is dropped. @return false when the packet must be ignored. */
+    bool acceptPart(const Packet &pkt, Inflight &inflight);
+
+    /** Charge the II=1 pipeline for `bytes` crossing the datapath, one
+     * word per cycle, starting no earlier than `head`, plus parsing.
+     * @return tick at which the request leaves the parser. */
+    Tick pipelineAdmit(Tick head, std::uint64_t bytes);
+
+    /** Handle one fast-path packet (read/write slice/atomic/fence).
+     * @param resp the request's response when this packet completes
+     *        it, else null (only write slices are not last). */
+    void fastPathPacket(const Packet &pkt, Inflight &inflight,
+                        ResponseMsg *resp);
+
+    /**
+     * Execute a read, write, atomic or fence after pipeline admission.
+     * A write moves payload [offset, offset + len); `first_part`
+     * counts the request. A read fills resp->data (empty on failure),
+     * an atomic sets resp->value to the old word.
+     * @return completion tick; `status` is set on failure.
+     */
+    Tick executeFastPath(const RequestMsg &req, std::uint64_t offset,
+                         std::uint64_t len, bool first_part, Tick t,
+                         Status &status, ResponseMsg *resp);
+
+    /**
+     * The per-page access core: translate each page `va` covers, copy
+     * bytes between `buf` and DRAM, and charge the DRAM access. Stops
+     * at the first failing page with `status` set.
+     * @param split when non-null, each page's translate and DRAM time
+     *        are added to it (the deltas sum to the return - t).
+     * @return tick at which the last page's access completes, or at
+     *         which the failing page's translation ended.
+     */
+    Tick accessPages(ProcId pid, VirtAddr va, std::uint8_t *buf,
+                     std::uint64_t len, bool is_write, Tick t,
+                     Status &status, OffloadCost *split = nullptr);
 
     /** Translate one VA; handles TLB, page fault, permission.
      * @return PTE copy, or nullopt with `status` set; advances `t` by
@@ -310,9 +340,6 @@ class CBoard
     /** Charge one DRAM access of `bytes` at tick `t` (DMA setup +
      * latency + bandwidth occupancy); returns the completion tick. */
     Tick memoryAccess(Tick t, std::uint64_t bytes, bool is_write);
-
-    /** Fast-path datapath width in bytes. */
-    std::uint64_t datapathBytes() const;
 
     /** Handle a slow-path request (alloc/free) end to end. */
     void slowPathPacket(const Packet &pkt);

@@ -119,7 +119,11 @@ class OffloadVm
     ProcId pid() const { return pid_; }
 
   private:
-    friend class CBoard;
+    /** Move bytes through the board's per-page access core, charging
+     * translate and DRAM time; a fault charges nothing. */
+    bool access(VirtAddr addr, std::uint8_t *buf, std::uint64_t len,
+                bool is_write);
+
     CBoard &board_;
     ProcId pid_;
     /** Logical start tick; the invocation clock is start_at_ +

@@ -102,6 +102,117 @@ TEST(CBoardDevice, TlbMissCostsExactlyOneDramAccess)
     EXPECT_EQ(miss - hit, f.board.config().dram.access_latency);
 }
 
+TEST(CBoardDevice, ServiceFastPathAgreesWithClusterClient)
+{
+    // The same requests give the same Status and bytes through
+    // serviceFastPath on a fresh board and through a 1-rack cluster
+    // client (MTU packets, reassembly, dedup, response emission).
+    const ModelConfig cfg = ModelConfig::prototype();
+    const std::uint64_t page = cfg.page_table.page_size;
+    Cluster cluster(cfg, 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    BoardFixture f(cfg);
+    const ProcId pid = client.pid();
+
+    auto board_alloc = [&](std::uint64_t size, std::uint8_t perm) {
+        ResponseMsg resp;
+        f.board.slowPathAlloc(pid, size, perm, resp);
+        EXPECT_EQ(resp.status, Status::kOk);
+        return resp.value;
+    };
+    ReqId next_id = 1;
+    auto board_write = [&](VirtAddr addr,
+                           const std::vector<std::uint8_t> &bytes) {
+        RequestMsg req;
+        req.type = MsgType::kWrite;
+        req.pid = pid;
+        req.addr = addr;
+        req.size = bytes.size();
+        req.data = bytes;
+        req.req_id = req.orig_req_id = next_id++;
+        ResponseMsg resp;
+        f.board.serviceFastPath(req, 0, resp);
+        return resp.status;
+    };
+    auto board_read = [&](VirtAddr addr, std::uint64_t len) {
+        ResponseMsg resp;
+        f.board.serviceFastPath(f.makeRead(pid, addr, len, next_id++), 0,
+                                resp);
+        return resp;
+    };
+
+    // Same layout on both sides: 3 pages read-write, 1 page read-only,
+    // then 1 page with no mapping after it.
+    const VirtAddr rw = client.ralloc(3 * page).value_or(0);
+    const VirtAddr ro = client.ralloc(page, kPermRead).value_or(0);
+    const VirtAddr tail = client.ralloc(page).value_or(0);
+    ASSERT_EQ(board_alloc(3 * page, kPermReadWrite), rw);
+    ASSERT_EQ(board_alloc(page, kPermRead), ro);
+    ASSERT_EQ(board_alloc(page, kPermReadWrite), tail);
+    const std::uint64_t after_tail = tail / page + 1;
+    ASSERT_EQ(f.board.pageTable().lookup(pid, after_tail), nullptr);
+    ASSERT_EQ(cluster.mn(0).pageTable().lookup(pid, after_tail), nullptr);
+
+    // A multi-packet write spanning a page boundary; both pages fault
+    // on first touch.
+    std::vector<std::uint8_t> pattern(8 * KiB);
+    for (std::size_t i = 0; i < pattern.size(); i++)
+        pattern[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    const VirtAddr span = rw + page - 4 * KiB;
+    EXPECT_EQ(board_write(span, pattern), Status::kOk);
+    EXPECT_EQ(client.rwrite(span, pattern.data(), pattern.size()),
+              Status::kOk);
+
+    // Read it back across the boundary.
+    ResponseMsg r = board_read(span, pattern.size());
+    std::vector<std::uint8_t> out(pattern.size());
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(client.rread(span, out.data(), out.size()), Status::kOk);
+    EXPECT_EQ(r.data, pattern);
+    EXPECT_EQ(out, pattern);
+
+    // First-touch read of the third page: faults, reads zeros.
+    r = board_read(rw + 2 * page + 100, 64);
+    out.assign(64, 0xFF);
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(client.rread(rw + 2 * page + 100, out.data(), 64),
+              Status::kOk);
+    EXPECT_EQ(r.data, std::vector<std::uint8_t>(64, 0));
+    EXPECT_EQ(out, r.data);
+
+    // Second page unmapped: the read fails with no data, and a write
+    // stops at the failing page on both paths.
+    const VirtAddr edge = tail + page - 128;
+    r = board_read(edge, 256);
+    out.assign(256, 0xFF);
+    EXPECT_EQ(r.status, Status::kBadAddress);
+    EXPECT_EQ(client.rread(edge, out.data(), 256), Status::kBadAddress);
+    EXPECT_TRUE(r.data.empty());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(256, 0xFF));
+    const std::vector<std::uint8_t> ones(256, 1);
+    EXPECT_EQ(board_write(edge, ones), Status::kBadAddress);
+    EXPECT_EQ(client.rwrite(edge, ones.data(), ones.size()),
+              Status::kBadAddress);
+    r = board_read(edge, 128);
+    out.assign(128, 0xFF);
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(client.rread(edge, out.data(), 128), Status::kOk);
+    EXPECT_EQ(r.data, out);
+
+    // Permission denied.
+    const std::vector<std::uint8_t> word(8, 7);
+    EXPECT_EQ(board_write(ro, word), Status::kPermDenied);
+    EXPECT_EQ(client.rwrite(ro, word.data(), word.size()),
+              Status::kPermDenied);
+
+    EXPECT_EQ(f.board.stats().page_faults,
+              cluster.mn(0).stats().page_faults);
+    EXPECT_EQ(f.board.stats().bad_address,
+              cluster.mn(0).stats().bad_address);
+    EXPECT_EQ(f.board.stats().perm_denied,
+              cluster.mn(0).stats().perm_denied);
+}
+
 TEST(CBoardDevice, PipelineOccupancyBoundsThroughput)
 {
     // Back-to-back 1 KB reads cannot exceed the datapath's bytes per

@@ -437,6 +437,59 @@ TEST(Integration, DedupSuppressesReplayedWrite)
     EXPECT_EQ(out, b); // replay did NOT clobber the later write
 }
 
+TEST(Integration, DedupReplaysCachedAtomicResult)
+{
+    // T4: a retried atomic whose original already executed is not
+    // re-executed, and its response carries the ORIGINAL's result.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+
+    ASSERT_EQ(client.rfaa(addr, 5).value_or(99), 0u);
+    ASSERT_EQ(client.rfaa(addr, 3).value_or(99), 5u);
+
+    // A sniffer node receives the replay's response.
+    std::vector<std::shared_ptr<const ResponseMsg>> seen;
+    const NodeId sniffer = cluster.network().addNode([&seen](Packet pkt) {
+        seen.push_back(
+            std::static_pointer_cast<const ResponseMsg>(pkt.msg));
+    });
+
+    // Replay the SECOND fetch-add as a retry: fresh id, the original
+    // id as CNode assigned it (sequence 3: 1 = alloc, 2 = first rfaa).
+    auto replay = std::make_shared<RequestMsg>();
+    replay->type = MsgType::kAtomic;
+    replay->aop = AtomicOp::kFetchAdd;
+    replay->arg0 = 3;
+    replay->pid = client.pid();
+    replay->req_id = 0xDEAD0002;
+    replay->orig_req_id =
+        (static_cast<ReqId>(cluster.cn(0).nodeId()) << 40) | 3;
+    replay->src = sniffer;
+    replay->dst = mn.nodeId();
+    replay->addr = addr;
+    replay->size = 8;
+
+    Packet pkt;
+    pkt.src = sniffer;
+    pkt.dst = replay->dst;
+    pkt.req_id = replay->req_id;
+    pkt.type = MsgType::kAtomic;
+    pkt.wire_bytes = requestWireBytes(*replay);
+    pkt.msg = replay;
+    cluster.network().send(std::move(pkt));
+    cluster.run();
+
+    EXPECT_EQ(mn.dedupBuffer().suppressed(), 1u);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0]->status, Status::kOk);
+    EXPECT_EQ(seen[0]->value, 5u); // the original's old value
+    std::uint64_t out = 0;
+    ASSERT_EQ(client.rread(addr, &out, sizeof(out)), Status::kOk);
+    EXPECT_EQ(out, 8u); // the replay did not add again
+}
+
 TEST(Integration, LatencyMatchesPaperBallpark)
 {
     // §7.1: 16 B reads ~2.5 us median end to end on the prototype.

@@ -160,12 +160,29 @@ TEST(OffloadVmTest, AccessSpansPageBoundary)
     for (int i = 0; i < 256; i++)
         out[i] = static_cast<std::uint8_t>(i * 7 + 1);
     const VirtAddr addr = base + page - 128;
+    const OffloadCost &split = f.vm.costSplit();
+    ASSERT_EQ(split.translate + split.dram, 0u); // alloc is control
+    const Tick start = f.vm.cost();
     ASSERT_TRUE(f.vm.write(addr, out, sizeof(out)));
+
+    // The write's split is exact: each page pays a TLB lookup, a miss
+    // fetch and a first-touch fault (translate), then an unqueued DRAM
+    // access (dram); nothing else is charged, so translate + dram is
+    // the access' whole done - start.
+    const ModelConfig &cfg = f.board.config();
+    const FastPathConfig &fp = cfg.fast_path;
+    EXPECT_EQ(f.board.stats().page_faults, 2u);
+    EXPECT_EQ(split.translate,
+              2 * ((fp.tlb_lookup_cycles + fp.page_fault_cycles) *
+                       fp.cycle +
+                   cfg.dram.access_latency));
+    EXPECT_EQ(split.dram,
+              2 * (fp.dma_write_setup + cfg.dram.access_latency) +
+                  256 * ticksPerByte(cfg.dram.bandwidth_bps));
+    EXPECT_EQ(split.translate + split.dram, f.vm.cost() - start);
+
     ASSERT_TRUE(f.vm.read(addr, in, sizeof(in)));
     EXPECT_EQ(std::memcmp(out, in, sizeof(out)), 0);
-    const OffloadCost &split = f.vm.costSplit();
-    EXPECT_GT(split.translate, 0u);
-    EXPECT_GT(split.dram, 0u);
 }
 
 TEST(OffloadVmTest, FaultChargesNoTime)
