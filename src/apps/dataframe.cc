@@ -46,14 +46,12 @@ SelectOffload::encode(const Args &args)
 OffloadDescriptor
 SelectOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
+    OffloadDescriptor desc;
+    desc.id = id;
     desc.name = "df-select";
     desc.arg_bytes = sizeof(Args);
-    desc.reply_bytes_hint = 32;
     desc.lut = 8400.0;        // predicate comparators + compaction
     desc.bram_bytes = 65536.0; // chunk staging buffers
-    desc.cycles_per_call = 8;
-    desc.cycles_per_element = 1;
     return desc;
 }
 
@@ -113,14 +111,12 @@ AggregateOffload::encode(const Args &args)
 OffloadDescriptor
 AggregateOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
+    OffloadDescriptor desc;
+    desc.id = id;
     desc.name = "df-aggregate";
     desc.arg_bytes = sizeof(Args);
-    desc.reply_bytes_hint = 16;
     desc.lut = 3100.0;        // adder tree + divider
     desc.bram_bytes = 65536.0; // chunk staging buffer
-    desc.cycles_per_call = 8;
-    desc.cycles_per_element = 1;
     return desc;
 }
 

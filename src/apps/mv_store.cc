@@ -31,6 +31,18 @@ ClioMvOffload::ClioMvOffload(std::uint32_t value_size,
                 "bad Clio-MV geometry");
 }
 
+OffloadDescriptor
+ClioMvOffload::descriptor(std::uint32_t id)
+{
+    OffloadDescriptor desc;
+    desc.id = id;
+    desc.name = "clio-mv";
+    desc.arg_bytes = 0; // variable: op + object id + version (+ value)
+    desc.lut = 6200.0;         // descriptor walker + version indexer
+    desc.bram_bytes = 32768.0; // descriptor cache + value buffer
+    return desc;
+}
+
 void
 ClioMvOffload::init(OffloadVm &vm)
 {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "offload/descriptor.hh"
 #include "offload/offload.hh"
 #include "clib/client.hh"
 
@@ -55,6 +56,10 @@ class ClioMvOffload : public Offload
     ClioMvOffload(std::uint32_t value_size = 16,
                   std::uint32_t max_objects = 4096,
                   std::uint32_t max_versions = 1024);
+
+    /** Deployment descriptor (descriptor-table walker + version-array
+     * indexer). */
+    static OffloadDescriptor descriptor(std::uint32_t id);
 
     void init(OffloadVm &vm) override;
     OffloadResult invoke(OffloadVm &vm,

@@ -22,14 +22,12 @@ PointerChaseOffload::encode(const Args &args)
 OffloadDescriptor
 PointerChaseOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
+    OffloadDescriptor desc;
+    desc.id = id;
     desc.name = "pointer-chase";
     desc.arg_bytes = sizeof(Args);
-    desc.reply_bytes_hint = 64;
     desc.lut = 5200.0;        // walker FSM + 64-bit comparator
     desc.bram_bytes = 2048.0; // one-node line buffer
-    desc.cycles_per_call = 4;
-    desc.cycles_per_element = 2;
     return desc;
 }
 

@@ -225,9 +225,11 @@ CBoard::onPacket(Packet pkt)
         // response replays the original's cached result.
         if (inflight.parts_seen == 1 && (pkt.type == MsgType::kWrite ||
                                          pkt.type == MsgType::kAtomic)) {
-            inflight.replayed = dedup_.find(inflight.req->orig_req_id);
-            if (inflight.replayed)
+            if (const ResponseMsg *hit =
+                    dedup_.find(inflight.req->orig_req_id)) {
+                inflight.replayed = hit->value;
                 dedup_.noteSuppressed();
+            }
         }
         // Only writes carry a payload, so reads, atomics and fences are
         // one packet: their response exists before they execute, and
@@ -247,10 +249,8 @@ CBoard::onPacket(Packet pkt)
         } else if (inflight.status == Status::kOk) {
             // Record non-idempotent completions in the dedup buffer
             // under the ORIGINAL attempt id (T4).
-            if (req.type == MsgType::kWrite)
-                dedup_.record(req.orig_req_id);
-            else if (req.type == MsgType::kAtomic)
-                dedup_.record(req.orig_req_id, resp->value);
+            if (req.type == MsgType::kWrite || req.type == MsgType::kAtomic)
+                dedup_.record(req.orig_req_id, *resp);
         }
         const Tick when = inflight.done +
                           cfg_.fast_path.respond_cycles *
@@ -698,29 +698,12 @@ CBoard::registerOffload(OffloadDescriptor desc,
     return offload_rt_.deploy(*this, std::move(desc), std::move(offload));
 }
 
-ProcId
-CBoard::registerOffload(std::uint32_t offload_id,
-                        std::shared_ptr<Offload> offload)
-{
-    return registerOffload(defaultOffloadDescriptor(offload_id),
-                           std::move(offload));
-}
-
 void
 CBoard::registerOffloadShared(OffloadDescriptor desc,
                               std::shared_ptr<Offload> offload, ProcId pid)
 {
     offload_rt_.deployShared(*this, std::move(desc), std::move(offload),
                              pid);
-}
-
-void
-CBoard::registerOffloadShared(std::uint32_t offload_id,
-                              std::shared_ptr<Offload> offload,
-                              ProcId pid)
-{
-    registerOffloadShared(defaultOffloadDescriptor(offload_id),
-                          std::move(offload), pid);
 }
 
 void
@@ -745,11 +728,12 @@ CBoard::extendPathPacket(const Packet &pkt)
     if (!req.chain.empty())
         stats_.offload_chains++;
 
-    // Dedup for offloads with side effects (treated like atomics).
-    if (auto cached = dedup_.find(req.orig_req_id)) {
+    // Dedup for offloads with side effects (treated like atomics): a
+    // retry replays the original's whole reply.
+    if (const ResponseMsg *cached = dedup_.find(req.orig_req_id)) {
         dedup_.noteSuppressed();
-        resp->status = Status::kOk;
-        resp->value = *cached;
+        *resp = *cached;
+        resp->req_id = req.req_id;
     } else {
         OffloadResult result;
         if (!req.chain.empty()) {
@@ -766,7 +750,7 @@ CBoard::extendPathPacket(const Packet &pkt)
         resp->err_code = result.err_code;
         if (result.status == Status::kOk) {
             resp->data = std::move(result.data);
-            dedup_.record(req.orig_req_id, result.value);
+            dedup_.record(req.orig_req_id, *resp);
         } else {
             // A failed call carries the offload-defined message bytes
             // as its payload (satellite: errors name themselves).
@@ -787,7 +771,8 @@ CBoard::invokeOffloadLocal(std::uint32_t offload_id,
                            OffloadResult &result, OffloadCost *split)
 {
     stats_.offload_calls++;
-    return offload_rt_.invokeLocal(*this, offload_id, arg, result, split);
+    return offload_rt_.invokeLocal(*this, offload_id, arg, eq_.now(), result,
+                                   split);
 }
 
 // ---------------------------------------------------------------------

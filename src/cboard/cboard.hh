@@ -119,20 +119,11 @@ class CBoard
     ProcId registerOffload(OffloadDescriptor desc,
                            std::shared_ptr<Offload> offload);
 
-    /** Legacy deploy under a bare id (default descriptor). */
-    ProcId registerOffload(std::uint32_t offload_id,
-                           std::shared_ptr<Offload> offload);
-
     /**
      * Register an offload that *shares* an existing address space
      * (Clio-DF style: CN computation and MN offloads on one RAS, §6).
      */
     void registerOffloadShared(OffloadDescriptor desc,
-                               std::shared_ptr<Offload> offload,
-                               ProcId pid);
-
-    /** Legacy shared deploy under a bare id (default descriptor). */
-    void registerOffloadShared(std::uint32_t offload_id,
                                std::shared_ptr<Offload> offload,
                                ProcId pid);
 

@@ -5,14 +5,14 @@
 namespace clio {
 
 DedupBuffer::DedupBuffer(std::uint32_t capacity)
-    : capacity_(capacity), ids_(capacity), results_(capacity),
+    : capacity_(capacity), ids_(capacity), replies_(capacity),
       index_(capacity)
 {
     clio_assert(capacity > 0, "dedup buffer capacity must be nonzero");
 }
 
 void
-DedupBuffer::record(ReqId req_id, std::uint64_t atomic_result)
+DedupBuffer::record(ReqId req_id, const ResponseMsg &reply)
 {
     if (index_.find(req_id) != index_.kNone)
         return; // already recorded (e.g. duplicate delivery)
@@ -26,17 +26,15 @@ DedupBuffer::record(ReqId req_id, std::uint64_t atomic_result)
         oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
     }
     ids_[pos] = req_id;
-    results_[pos] = atomic_result;
+    replies_[pos] = reply; // copy-assignment reuses the slot's buffers
     index_.insert(req_id, pos);
 }
 
-std::optional<std::uint64_t>
+const ResponseMsg *
 DedupBuffer::find(ReqId req_id) const
 {
     const std::uint32_t pos = index_.find(req_id);
-    if (pos == index_.kNone)
-        return std::nullopt;
-    return results_[pos];
+    return pos == index_.kNone ? nullptr : &replies_[pos];
 }
 
 } // namespace clio

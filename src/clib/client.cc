@@ -366,25 +366,32 @@ ClioClient::fenceAsync()
     return submit(std::move(op));
 }
 
+ClioClient::Op
+ClioClient::offloadOp(NodeId mn, std::uint64_t expected_resp_bytes)
+{
+    auto req = cn_.requestPool().acquire();
+    req->type = MsgType::kOffload;
+    req->pid = pid_;
+    req->dst = mn;
+    Op op;
+    // Offloads and chains act on offload address spaces; apps order
+    // them with rpoll when needed.
+    op.fp = Footprint{0, 0, false, false};
+    op.handle = cn_.handlePool().acquire();
+    op.req = std::move(req);
+    op.expected_resp_bytes = expected_resp_bytes;
+    return op;
+}
+
 HandlePtr
 ClioClient::offloadAsync(NodeId mn, std::uint32_t offload_id,
                          std::vector<std::uint8_t> arg,
                          std::uint64_t expected_resp_bytes)
 {
     stats_.offloads++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kOffload;
-    req->pid = pid_;
-    req->dst = mn;
-    req->offload_id = offload_id;
-    req->offload_arg = std::move(arg);
-    Op op;
-    // Offloads act on the offload's own RAS; apps order them with
-    // rpoll when needed.
-    op.fp = Footprint{0, 0, false, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = expected_resp_bytes;
+    Op op = offloadOp(mn, expected_resp_bytes);
+    op.req->offload_id = offload_id;
+    op.req->offload_arg = std::move(arg);
     return submit(std::move(op));
 }
 
@@ -394,19 +401,9 @@ ClioClient::rcallChainAsync(NodeId mn, const ChainPlan &plan,
 {
     stats_.offloads++;
     stats_.offload_chains++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kOffload;
-    req->pid = pid_;
-    req->dst = mn;
-    req->chain = plan.stages();
-    req->chain_per_stage = plan.perStage();
-    Op op;
-    // Like single offloads: chains act on offload address spaces,
-    // ordered by the app via rpoll when needed.
-    op.fp = Footprint{0, 0, false, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = expected_resp_bytes;
+    Op op = offloadOp(mn, expected_resp_bytes);
+    op.req->chain = plan.stages();
+    op.req->chain_per_stage = plan.perStage();
     return submit(std::move(op));
 }
 
@@ -539,17 +536,8 @@ ClioClient::rcall(NodeId mn, std::uint32_t offload_id,
                   std::vector<std::uint8_t> arg,
                   std::uint64_t expected_resp_bytes)
 {
-    auto h = offloadAsync(mn, offload_id, std::move(arg),
-                          expected_resp_bytes);
-    rpoll(h);
-    if (h->status != Status::kOk)
-        return Result<OffloadReply>(
-            h->status, h->err_code,
-            std::string(h->data.begin(), h->data.end()));
-    OffloadReply reply;
-    reply.value = h->value;
-    reply.data = std::move(h->data);
-    return reply;
+    return awaitOffloadReply(
+        offloadAsync(mn, offload_id, std::move(arg), expected_resp_bytes));
 }
 
 Result<OffloadReply>
@@ -564,7 +552,12 @@ ClioClient::rcall_chain(NodeId mn, const ChainPlan &plan,
             static_cast<std::uint32_t>(OffloadErrc::kBadArgument),
             "empty chain");
     }
-    auto h = rcallChainAsync(mn, plan, expected_resp_bytes);
+    return awaitOffloadReply(rcallChainAsync(mn, plan, expected_resp_bytes));
+}
+
+Result<OffloadReply>
+ClioClient::awaitOffloadReply(const HandlePtr &h)
+{
     rpoll(h);
     if (h->status != Status::kOk)
         return Result<OffloadReply>(

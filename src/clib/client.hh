@@ -335,6 +335,14 @@ class ClioClient
     /** First record with start >= `addr`. */
     std::vector<Region>::iterator regionAt(VirtAddr addr);
 
+    /** A kOffload op to `mn` for this process, with an empty
+     * footprint; the caller sets the single-call or chain fields. */
+    Op offloadOp(NodeId mn, std::uint64_t expected_resp_bytes);
+
+    /** Wait for an offload handle and convert it to the typed reply
+     * (rcall and rcall_chain). */
+    Result<OffloadReply> awaitOffloadReply(const HandlePtr &h);
+
     /** Admit an op: issue now or queue behind conflicting ones (T2). */
     HandlePtr submit(Op op);
     void issueNow(Op op);

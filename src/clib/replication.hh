@@ -111,11 +111,13 @@ class ReplicatedRegion
      * survivor's MN), stream the surviving replica's bytes into it,
      * and swap it in for the dead slot. No-op (kOk) when both replicas
      * are healthy; kRetryExceeded when both are dead (nothing left to
-     * copy from); kTimeout when the SURVIVOR dies mid-copy (the
-     * half-copied replacement is abandoned, never marked healthy).
-     * The dead replica's old VA is NOT freed — its board lost that
-     * state when it crashed. Synchronous (pumps the simulation); the
-     * controller path uses beginResync() instead.
+     * copy from) or a controller resync is already running; kTimeout
+     * when the SURVIVOR dies mid-copy or a replica's MN is declared
+     * dead meanwhile (the half-copied replacement is abandoned, never
+     * marked healthy); otherwise the status of the failing alloc or
+     * copy-write. The dead replica's old VA is NOT
+     * freed — its board lost that state when it crashed. Synchronous:
+     * it runs beginResync() and pumps the simulation until it ends.
      */
     Status heal(NodeId replacement_mn);
 
@@ -130,12 +132,15 @@ class ReplicatedRegion
      * Start an asynchronous controller-driven re-replication onto
      * `replacement_mn`: alloc, then a chunked read→write pipeline of
      * CLibConfig::resync_chunk_bytes per step, advanced by completion
-     * events (no pumping). `done(success)` fires exactly once from an
-     * event context. @return false when not applicable (healthy, both
-     * dead, already resyncing, or replacement == survivor's MN).
+     * events (no pumping). `done(status)` fires exactly once from an
+     * event context: kOk once the copy is swapped in, kTimeout when
+     * the survivor died or a replica's MN was declared dead mid-copy,
+     * else the failing alloc's or copy-write's status. @return false
+     * when not applicable (healthy, both dead, already resyncing, or
+     * replacement == survivor's MN).
      */
     bool beginResync(NodeId replacement_mn,
-                     std::function<void(bool)> done);
+                     std::function<void(Status)> done);
     /** @} */
 
     /** Release both replicas (and unregister from the registry). */
@@ -151,7 +156,7 @@ class ReplicatedRegion
     void pumpResync();
     /** Issue the read of the next chunk (or finish when done). */
     void issueResyncRead();
-    void finishResync(bool success);
+    void finishResync(Status status);
 
     ClioClient &client_;
     std::uint64_t size_ = 0;
@@ -183,7 +188,7 @@ class ReplicatedRegion
         std::uint64_t cur_off = 0;
         std::uint64_t cur_len = 0;
         std::vector<std::uint8_t> buf;
-        std::function<void(bool)> done;
+        std::function<void(Status)> done;
     };
     Resync resync_;
     CompletionQueue resync_cq_;

@@ -422,7 +422,9 @@ HealthPlane::pumpResyncQueue()
         }
         const bool started = r->beginResync(
             replacement,
-            [this, id](bool success) { onResyncDone(id, success); });
+            [this, id](Status status) {
+                onResyncDone(id, status == Status::kOk);
+            });
         if (!started) {
             e->queued = false;
             continue;

@@ -15,11 +15,12 @@ DevBoard::openProcess()
 }
 
 void
-DevBoard::registerOffloadShared(std::uint32_t id,
+DevBoard::registerOffloadShared(OffloadDescriptor desc,
                                 std::shared_ptr<Offload> offload,
                                 const DevProcess &proc)
 {
-    board_->registerOffloadShared(id, std::move(offload), proc.pid());
+    board_->registerOffloadShared(std::move(desc), std::move(offload),
+                                  proc.pid());
 }
 
 } // namespace clio

@@ -44,13 +44,13 @@ class DevBoard
 
     /** Deploy an offload (own address space). */
     void
-    registerOffload(std::uint32_t id, std::shared_ptr<Offload> offload)
+    registerOffload(OffloadDescriptor desc, std::shared_ptr<Offload> offload)
     {
-        board_->registerOffload(id, std::move(offload));
+        board_->registerOffload(std::move(desc), std::move(offload));
     }
 
     /** Deploy an offload sharing a process' address space. */
-    void registerOffloadShared(std::uint32_t id,
+    void registerOffloadShared(OffloadDescriptor desc,
                                std::shared_ptr<Offload> offload,
                                const DevProcess &proc);
 

@@ -5,11 +5,11 @@
  * Registering an offload means synthesizing its logic into the
  * CBoard's FPGA fabric, so each deployment carries a descriptor: the
  * id/name the MAT dispatches on, the argument/reply schemas the
- * runtime enforces at dispatch (typed rcall), the LUT/BRAM footprint
- * the Fig. 22 resource model charges per deployed offload, and a
- * cycles-per-element cost model documenting how invocation compute
- * scales (the invoke() implementations charge it via
- * OffloadVm::chargeCycles).
+ * runtime enforces at dispatch (typed rcall), and the LUT/BRAM
+ * footprint the Fig. 22 resource model charges per deployed offload.
+ * Every deployment names one: CBoard and DevBoard register offloads
+ * by descriptor only. Compute cost is not described here: invoke()
+ * charges it through OffloadVm::chargeCycles.
  */
 
 #ifndef CLIO_OFFLOAD_DESCRIPTOR_HH
@@ -32,31 +32,12 @@ struct OffloadDescriptor
      * mismatched rcall fails with OffloadErrc::kBadArgument without
      * invoking the offload. */
     std::uint32_t arg_bytes = 0;
-    /** Expected reply payload size (CN incast-window sizing hint). */
-    std::uint64_t reply_bytes_hint = 256;
     /** Synthesized logic footprint, replicated into each offload
      * engine (LUTs per engine instance). */
     double lut = 2000.0;
     /** On-chip state (BRAM bytes), one copy shared across engines. */
     double bram_bytes = 4096.0;
-    /** @{ Compute cost model: cycles charged per invocation and per
-     * element processed. Documentation + energy attribution; the
-     * invoke() implementations remain the source of truth. */
-    std::uint64_t cycles_per_call = 0;
-    std::uint64_t cycles_per_element = 1;
-    /** @} */
 };
-
-/** Descriptor with defaults for legacy registerOffload(id, offload)
- * call sites that predate the registry. */
-inline OffloadDescriptor
-defaultOffloadDescriptor(std::uint32_t id)
-{
-    OffloadDescriptor desc;
-    desc.id = id;
-    desc.name = "offload-" + std::to_string(id);
-    return desc;
-}
 
 } // namespace clio
 

@@ -7,6 +7,39 @@
 
 namespace clio {
 
+namespace {
+
+/** Patch a chain stage's argument from earlier stages' replies per its
+ * binds. @return false when a bind reads or writes out of range. */
+bool
+patchBinds(const OffloadChainStage &stage, std::size_t i,
+           const std::vector<OffloadStageReply> &replies,
+           std::vector<std::uint8_t> &arg)
+{
+    for (const OffloadChainBind &bind : stage.binds) {
+        const std::size_t src =
+            bind.src_stage == kOffloadPrevStage
+                ? i - 1 // i == 0 wraps past replies.size(): caught
+                : bind.src_stage;
+        if (src >= replies.size() ||
+            std::uint64_t(bind.dst_offset) + bind.len > arg.size())
+            return false;
+        const OffloadStageReply &from = replies[src];
+        const std::uint8_t *bytes =
+            bind.from_value
+                ? reinterpret_cast<const std::uint8_t *>(&from.value)
+                : from.data.data();
+        const std::size_t size = bind.from_value ? 8 : from.data.size();
+        if (std::uint64_t(bind.src_offset) + bind.len > size)
+            return false;
+        std::memcpy(arg.data() + bind.dst_offset, bytes + bind.src_offset,
+                    bind.len);
+    }
+    return true;
+}
+
+} // namespace
+
 OffloadRuntime::OffloadRuntime(const OffloadConfig &cfg, Tick cycle)
     : cfg_(cfg), cycle_(cycle), scheduler_(cfg.engines)
 {
@@ -33,10 +66,22 @@ OffloadRuntime::deployShared(CBoard &board, OffloadDescriptor desc,
     registry_.find(id)->offload->init(vm);
 }
 
+OffloadEntry *
+OffloadRuntime::lookup(std::uint32_t id, OffloadResult &result)
+{
+    OffloadEntry *entry = registry_.find(id);
+    if (!entry)
+        result = offloadError(OffloadErrc::kUnregistered,
+                              "no offload registered under id " +
+                                  std::to_string(id));
+    return entry;
+}
+
 Tick
 OffloadRuntime::dispatchOne(CBoard &board, OffloadEntry &entry,
                             const std::vector<std::uint8_t> &arg, Tick start,
-                            OffloadResult &result, bool as_chain_stage)
+                            OffloadResult &result, bool as_chain_stage,
+                            OffloadCost *split)
 {
     if (as_chain_stage)
         entry.stats.chain_stages++;
@@ -56,6 +101,8 @@ OffloadRuntime::dispatchOne(CBoard &board, OffloadEntry &entry,
     if (result.status != Status::kOk)
         entry.stats.errors++;
     entry.stats.cost += vm.costSplit();
+    if (split)
+        *split = vm.costSplit();
     return vm.cost();
 }
 
@@ -64,13 +111,9 @@ OffloadRuntime::runSingle(CBoard &board, std::uint32_t id,
                           const std::vector<std::uint8_t> &arg, Tick ready,
                           OffloadResult &result)
 {
-    OffloadEntry *entry = registry_.find(id);
-    if (!entry) {
-        result = offloadError(OffloadErrc::kUnregistered,
-                              "no offload registered under id " +
-                                  std::to_string(id));
+    OffloadEntry *entry = lookup(id, result);
+    if (!entry)
         return ready;
-    }
     const EngineScheduler::Grant grant = scheduler_.admit(ready);
     Tick done = grant.start + cfg_.dispatch_cycles * cycle_;
     done += dispatchOne(board, *entry, arg, done, result, false);
@@ -102,55 +145,16 @@ OffloadRuntime::runChain(CBoard &board, const RequestMsg &req, Tick ready,
         done += cfg_.dispatch_cycles * cycle_;
 
         OffloadResult stage_result;
-        OffloadEntry *entry = registry_.find(stage.offload_id);
-        if (!entry) {
-            stage_result = offloadError(
-                OffloadErrc::kUnregistered,
-                "no offload registered under id " +
-                    std::to_string(stage.offload_id));
-        } else {
-            // Patch the stage's argument template from earlier replies.
+        if (OffloadEntry *entry = lookup(stage.offload_id, stage_result)) {
             std::vector<std::uint8_t> arg = stage.arg;
-            bool bind_ok = true;
-            for (const OffloadChainBind &bind : stage.binds) {
-                const std::size_t src =
-                    bind.src_stage == kOffloadPrevStage
-                        ? i - 1 // i == 0 wraps past replies.size(): caught
-                        : bind.src_stage;
-                if (src >= replies.size() ||
-                    std::uint64_t(bind.dst_offset) + bind.len > arg.size()) {
-                    bind_ok = false;
-                    break;
-                }
-                const OffloadStageReply &from = replies[src];
-                if (bind.from_value) {
-                    std::uint8_t value_bytes[8];
-                    std::memcpy(value_bytes, &from.value, 8);
-                    if (std::uint64_t(bind.src_offset) + bind.len > 8) {
-                        bind_ok = false;
-                        break;
-                    }
-                    std::memcpy(arg.data() + bind.dst_offset,
-                                value_bytes + bind.src_offset, bind.len);
-                } else {
-                    if (std::uint64_t(bind.src_offset) + bind.len >
-                        from.data.size()) {
-                        bind_ok = false;
-                        break;
-                    }
-                    std::memcpy(arg.data() + bind.dst_offset,
-                                from.data.data() + bind.src_offset,
-                                bind.len);
-                }
-            }
-            if (!bind_ok) {
+            if (patchBinds(stage, i, replies, arg)) {
+                done += dispatchOne(board, *entry, arg, done, stage_result,
+                                    true);
+            } else {
                 stage_result = offloadError(
                     OffloadErrc::kBadChainBind,
                     entry->desc.name + ": bind out of range");
                 entry->stats.errors++;
-            } else {
-                done += dispatchOne(board, *entry, arg, done, stage_result,
-                                    true);
             }
         }
 
@@ -184,36 +188,12 @@ OffloadRuntime::runChain(CBoard &board, const RequestMsg &req, Tick ready,
 
 Tick
 OffloadRuntime::invokeLocal(CBoard &board, std::uint32_t id,
-                            const std::vector<std::uint8_t> &arg,
+                            const std::vector<std::uint8_t> &arg, Tick start,
                             OffloadResult &result, OffloadCost *split)
 {
-    OffloadEntry *entry = registry_.find(id);
-    if (!entry) {
-        result = offloadError(OffloadErrc::kUnregistered,
-                              "no offload registered under id " +
-                                  std::to_string(id));
-        return 0;
-    }
-    if (entry->desc.arg_bytes != 0 &&
-        arg.size() != entry->desc.arg_bytes) {
-        result = offloadError(
-            OffloadErrc::kBadArgument,
-            entry->desc.name + ": argument is " +
-                std::to_string(arg.size()) + " bytes, schema wants " +
-                std::to_string(entry->desc.arg_bytes));
-        entry->stats.calls++;
-        entry->stats.errors++;
-        return 0;
-    }
-    entry->stats.calls++;
-    OffloadVm vm(board, entry->pid);
-    result = entry->offload->invoke(vm, arg);
-    if (result.status != Status::kOk)
-        entry->stats.errors++;
-    entry->stats.cost += vm.costSplit();
-    if (split)
-        *split = vm.costSplit();
-    return vm.cost();
+    OffloadEntry *entry = lookup(id, result);
+    return entry ? dispatchOne(board, *entry, arg, start, result, false, split)
+                 : 0;
 }
 
 void

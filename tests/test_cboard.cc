@@ -10,6 +10,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -292,22 +293,41 @@ TEST(CBoardDevice, DestroyProcessReclaimsEverything)
     EXPECT_EQ(f.board.vaAllocator().allocatedBytes(5), 0u);
 }
 
+/** A successful reply carrying `value` (what an atomic caches). */
+ResponseMsg
+replyWith(std::uint64_t value)
+{
+    ResponseMsg reply;
+    reply.value = value;
+    return reply;
+}
+
+/** The cached reply's value of `id`; nullopt when it is not cached. */
+std::optional<std::uint64_t>
+cachedValue(const DedupBuffer &buf, ReqId id)
+{
+    const ResponseMsg *hit = buf.find(id);
+    if (!hit)
+        return std::nullopt;
+    return hit->value;
+}
+
 TEST(DedupBufferUnit, RecordFindEvict)
 {
     DedupBuffer buf(3);
-    buf.record(1, 100);
-    buf.record(2, 200);
-    EXPECT_EQ(buf.find(1).value_or(0), 100u);
-    EXPECT_EQ(buf.find(2).value_or(0), 200u);
-    EXPECT_FALSE(buf.find(3).has_value());
-    buf.record(3);
-    buf.record(4); // evicts 1 (FIFO ring)
-    EXPECT_FALSE(buf.find(1).has_value());
-    EXPECT_TRUE(buf.find(2).has_value());
+    buf.record(1, replyWith(100));
+    buf.record(2, replyWith(200));
+    EXPECT_EQ(cachedValue(buf, 1).value_or(0), 100u);
+    EXPECT_EQ(cachedValue(buf, 2).value_or(0), 200u);
+    EXPECT_FALSE(cachedValue(buf, 3).has_value());
+    buf.record(3, replyWith(0));
+    buf.record(4, replyWith(0)); // evicts 1 (FIFO ring)
+    EXPECT_FALSE(cachedValue(buf, 1).has_value());
+    EXPECT_TRUE(cachedValue(buf, 2).has_value());
     EXPECT_EQ(buf.size(), 3u);
     // Duplicate record is idempotent.
-    buf.record(2, 999);
-    EXPECT_EQ(buf.find(2).value_or(0), 200u);
+    buf.record(2, replyWith(999));
+    EXPECT_EQ(cachedValue(buf, 2).value_or(0), 200u);
     EXPECT_EQ(buf.size(), 3u);
 }
 
@@ -317,40 +337,68 @@ TEST(DedupBufferUnit, EvictionIsStrictlyFifoAcrossWraparound)
     EXPECT_EQ(buf.capacity(), 4u);
     // Fill several times over; exactly the last 4 ids must survive.
     for (ReqId id = 1; id <= 25; id++)
-        buf.record(id, id * 10);
+        buf.record(id, replyWith(id * 10));
     EXPECT_EQ(buf.size(), 4u);
     for (ReqId id = 1; id <= 21; id++)
-        EXPECT_FALSE(buf.find(id).has_value()) << "id " << id;
+        EXPECT_FALSE(cachedValue(buf, id).has_value()) << "id " << id;
     for (ReqId id = 22; id <= 25; id++)
-        EXPECT_EQ(buf.find(id).value_or(0), id * 10) << "id " << id;
+        EXPECT_EQ(cachedValue(buf, id).value_or(0), id * 10) << "id " << id;
 }
 
 TEST(DedupBufferUnit, WritesCacheZeroAtomicsCacheResults)
 {
     DedupBuffer buf(8);
-    buf.record(7); // a write: no atomic result
-    buf.record(8, 0xDEADu); // an atomic: cached return value
+    buf.record(7, replyWith(0)); // a write: no atomic result
+    buf.record(8, replyWith(0xDEADu)); // an atomic: cached return value
     // Both are "found" (execution must be suppressed); only the
     // atomic carries a meaningful replay value.
-    ASSERT_TRUE(buf.find(7).has_value());
-    EXPECT_EQ(*buf.find(7), 0u);
-    ASSERT_TRUE(buf.find(8).has_value());
-    EXPECT_EQ(*buf.find(8), 0xDEADu);
+    ASSERT_TRUE(cachedValue(buf, 7).has_value());
+    EXPECT_EQ(*cachedValue(buf, 7), 0u);
+    ASSERT_TRUE(cachedValue(buf, 8).has_value());
+    EXPECT_EQ(*cachedValue(buf, 8), 0xDEADu);
+}
+
+TEST(DedupBufferUnit, CachesTheWholeReply)
+{
+    // Offload retries replay data, error code and per-stage replies,
+    // not only the value register.
+    DedupBuffer buf(1);
+    ResponseMsg reply = replyWith(3);
+    reply.err_code = 9;
+    reply.data = {'h', 'i'};
+    reply.stages.resize(2);
+    reply.stages[1].data = {1, 2, 3};
+    buf.record(42, reply);
+    const ResponseMsg *hit = buf.find(42);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->value, 3u);
+    EXPECT_EQ(hit->err_code, 9u);
+    EXPECT_EQ(hit->data, reply.data);
+    ASSERT_EQ(hit->stages.size(), 2u);
+    EXPECT_EQ(hit->stages[1].data, reply.stages[1].data);
+    // The next reply overwrites the slot in full.
+    buf.record(43, replyWith(4));
+    EXPECT_EQ(buf.find(42), nullptr);
+    hit = buf.find(43);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_TRUE(hit->data.empty());
+    EXPECT_TRUE(hit->stages.empty());
+    EXPECT_EQ(hit->err_code, 0u);
 }
 
 TEST(DedupBufferUnit, SuppressedStatCountsOnlyWhenNoted)
 {
     DedupBuffer buf(4);
-    buf.record(1, 11);
+    buf.record(1, replyWith(11));
     EXPECT_EQ(buf.suppressed(), 0u);
     // A retry hit: the MN replays the cached result and notes it.
-    ASSERT_TRUE(buf.find(1).has_value());
+    ASSERT_TRUE(cachedValue(buf, 1).has_value());
     buf.noteSuppressed();
     buf.noteSuppressed();
     EXPECT_EQ(buf.suppressed(), 2u);
     // Lookups alone never bump the stat.
-    (void)buf.find(1);
-    (void)buf.find(99);
+    (void)cachedValue(buf, 1);
+    (void)cachedValue(buf, 99);
     EXPECT_EQ(buf.suppressed(), 2u);
 }
 
@@ -359,33 +407,33 @@ TEST(DedupBufferUnit, CapacityOneKeepsOnlyNewest)
     // Degenerate sizing (TIMEOUT x bandwidth rounding down): the ring
     // still works, holding exactly the most recent id.
     DedupBuffer buf(1);
-    buf.record(5, 55);
-    EXPECT_EQ(buf.find(5).value_or(0), 55u);
-    buf.record(6, 66);
-    EXPECT_FALSE(buf.find(5).has_value());
-    EXPECT_EQ(buf.find(6).value_or(0), 66u);
+    buf.record(5, replyWith(55));
+    EXPECT_EQ(cachedValue(buf, 5).value_or(0), 55u);
+    buf.record(6, replyWith(66));
+    EXPECT_FALSE(cachedValue(buf, 5).has_value());
+    EXPECT_EQ(cachedValue(buf, 6).value_or(0), 66u);
     EXPECT_EQ(buf.size(), 1u);
 }
 
 TEST(DedupBufferUnit, RerecordDoesNotMoveEntryInRing)
 {
     DedupBuffer buf(3);
-    buf.record(1, 10);
-    buf.record(2, 20);
-    buf.record(3, 30);
+    buf.record(1, replyWith(10));
+    buf.record(2, replyWith(20));
+    buf.record(3, replyWith(30));
     // Re-recording the oldest id neither refreshes its age nor its
     // cached result: it is still the next victim.
-    buf.record(1, 99);
-    EXPECT_EQ(buf.find(1).value_or(0), 10u);
-    buf.record(4, 40);
-    EXPECT_FALSE(buf.find(1).has_value());
-    EXPECT_EQ(buf.find(2).value_or(0), 20u);
-    buf.record(2, 77); // present: ignored
-    buf.record(5, 50);
-    EXPECT_FALSE(buf.find(2).has_value());
-    EXPECT_EQ(buf.find(3).value_or(0), 30u);
-    EXPECT_EQ(buf.find(4).value_or(0), 40u);
-    EXPECT_EQ(buf.find(5).value_or(0), 50u);
+    buf.record(1, replyWith(99));
+    EXPECT_EQ(cachedValue(buf, 1).value_or(0), 10u);
+    buf.record(4, replyWith(40));
+    EXPECT_FALSE(cachedValue(buf, 1).has_value());
+    EXPECT_EQ(cachedValue(buf, 2).value_or(0), 20u);
+    buf.record(2, replyWith(77)); // present: ignored
+    buf.record(5, replyWith(50));
+    EXPECT_FALSE(cachedValue(buf, 2).has_value());
+    EXPECT_EQ(cachedValue(buf, 3).value_or(0), 30u);
+    EXPECT_EQ(cachedValue(buf, 4).value_or(0), 40u);
+    EXPECT_EQ(cachedValue(buf, 5).value_or(0), 50u);
     EXPECT_EQ(buf.size(), 3u);
 }
 
@@ -408,7 +456,7 @@ TEST(DedupBufferUnit, FullRingEvictsOldestFirstAgainstReference)
                 (static_cast<ReqId>(rng.uniformInt(3)) << 40) |
                 (1 + rng.uniformInt(span));
             const std::uint64_t result = rng.next();
-            buf.record(id, result);
+            buf.record(id, replyWith(result));
             if (live.emplace(id, result).second) {
                 fifo.push_back(id);
                 evicted.erase(id);
@@ -423,16 +471,16 @@ TEST(DedupBufferUnit, FullRingEvictsOldestFirstAgainstReference)
                 (static_cast<ReqId>(rng.uniformInt(3)) << 40) |
                 (1 + rng.uniformInt(span));
             auto it = live.find(probe);
-            const auto got = buf.find(probe);
+            const auto got = cachedValue(buf, probe);
             ASSERT_EQ(got.has_value(), it != live.end()) << "step " << step;
             if (got) {
                 ASSERT_EQ(*got, it->second) << "step " << step;
             }
         }
         for (const ReqId id : evicted)
-            EXPECT_FALSE(buf.find(id).has_value()) << "id " << id;
+            EXPECT_FALSE(cachedValue(buf, id).has_value()) << "id " << id;
         for (const auto &[id, result] : live)
-            EXPECT_EQ(buf.find(id).value_or(~result), result);
+            EXPECT_EQ(cachedValue(buf, id).value_or(~result), result);
     }
 }
 
@@ -492,8 +540,8 @@ TEST(CBoardDevice, OffloadAddressSpacesAreIsolated)
     ClioClient &client = cluster.createClient(0);
     auto w1 = std::make_shared<Writer>();
     auto w2 = std::make_shared<Writer>();
-    cluster.mn(0).registerOffload(10, w1);
-    cluster.mn(0).registerOffload(11, w2);
+    cluster.mn(0).registerOffload({.id = 10, .name = "writer-1"}, w1);
+    cluster.mn(0).registerOffload({.id = 11, .name = "writer-2"}, w2);
     EXPECT_EQ(w1->slot, w2->slot); // same VA, separate spaces
 
     std::vector<std::uint8_t> arg(8);

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "apps/kv_store.hh"
 #include "cluster/cluster.hh"
 #include "sim/rng.hh"
 
@@ -490,6 +491,67 @@ TEST(Integration, DedupReplaysCachedAtomicResult)
     EXPECT_EQ(out, 8u); // the replay did not add again
 }
 
+TEST(Integration, DedupReplaysOffloadReply)
+{
+    // T4 for the extend path: a retried offload call whose original
+    // already executed replays the original's WHOLE reply. A Clio-KV
+    // get retried this way must return the stored bytes, not an empty
+    // payload under kOk.
+    constexpr std::uint32_t kKv = 1;
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    mn.registerOffload(ClioKvOffload::descriptor(kKv),
+                       std::make_shared<ClioKvOffload>());
+
+    ASSERT_TRUE(
+        client.rcall(mn.nodeId(), kKv, kvEncode(KvOp::kPut, "k", "hello"))
+            .ok());
+    const Result<OffloadReply> get =
+        client.rcall(mn.nodeId(), kKv, kvEncode(KvOp::kGet, "k"));
+    ASSERT_TRUE(get.ok());
+    ASSERT_EQ(get->value, 1u);
+
+    // A sniffer node receives the replay's response.
+    std::vector<std::shared_ptr<const ResponseMsg>> seen;
+    const NodeId sniffer = cluster.network().addNode([&seen](Packet pkt) {
+        seen.push_back(
+            std::static_pointer_cast<const ResponseMsg>(pkt.msg));
+    });
+
+    // Replay the get as a retry: fresh id, the original id as CNode
+    // assigned it (sequence 2: 1 = the put).
+    auto replay = std::make_shared<RequestMsg>();
+    replay->type = MsgType::kOffload;
+    replay->pid = client.pid();
+    replay->req_id = 0xDEAD0003;
+    replay->orig_req_id =
+        (static_cast<ReqId>(cluster.cn(0).nodeId()) << 40) | 2;
+    replay->src = sniffer;
+    replay->dst = mn.nodeId();
+    replay->offload_id = kKv;
+    replay->offload_arg = kvEncode(KvOp::kGet, "k");
+
+    Packet pkt;
+    pkt.src = sniffer;
+    pkt.dst = replay->dst;
+    pkt.req_id = replay->req_id;
+    pkt.type = MsgType::kOffload;
+    pkt.wire_bytes = requestWireBytes(*replay);
+    pkt.msg = replay;
+    cluster.network().send(std::move(pkt));
+    cluster.run();
+
+    EXPECT_EQ(mn.dedupBuffer().suppressed(), 1u);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0]->req_id, 0xDEAD0003u);
+    EXPECT_EQ(seen[0]->status, Status::kOk);
+    EXPECT_EQ(seen[0]->value, 1u);
+    EXPECT_EQ(seen[0]->err_code, 0u);
+    EXPECT_EQ(std::string(seen[0]->data.begin(), seen[0]->data.end()),
+              "hello");
+}
+
 TEST(Integration, LatencyMatchesPaperBallpark)
 {
     // §7.1: 16 B reads ~2.5 us median end to end on the prototype.
@@ -640,7 +702,8 @@ TEST(Integration, OffloadInvocation)
 {
     Cluster cluster(baseConfig(), 1, 1);
     ClioClient &client = cluster.createClient(0);
-    cluster.mn(0).registerOffload(7, std::make_shared<EchoAddOffload>());
+    cluster.mn(0).registerOffload({.id = 7, .name = "echo-add"},
+                                  std::make_shared<EchoAddOffload>());
 
     std::vector<std::uint8_t> arg(8);
     const std::uint64_t v = 41;

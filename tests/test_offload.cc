@@ -3,16 +3,20 @@
  * Offload runtime tests: error-code naming, engine-scheduler
  * arbitration, OffloadVm edge cases (permissions, alloc failure, bad
  * free, page-boundary spans), registry schema enforcement, chained
- * plans (binds, early stop, per-stage replies, error abort), and
- * restart re-initialization.
+ * plans (binds, early stop, per-stage replies, error abort), restart
+ * re-initialization, and agreement of the three call paths (DevBoard,
+ * rcall, one-stage rcall_chain).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "apps/kv_store.hh"
 #include "cboard/cboard.hh"
 #include "cluster/cluster.hh"
+#include "devsim/dev_board.hh"
 #include "offload/chain.hh"
 #include "offload/engine.hh"
 #include "offload/errc.hh"
@@ -215,10 +219,7 @@ class AccumOffload : public Offload
     static OffloadDescriptor
     descriptor(std::uint32_t id)
     {
-        OffloadDescriptor desc = defaultOffloadDescriptor(id);
-        desc.name = "accum";
-        desc.arg_bytes = 16;
-        return desc;
+        return {.id = id, .name = "accum", .arg_bytes = 16};
     }
 
     OffloadResult
@@ -477,7 +478,7 @@ TEST(OffloadRuntimeTest, RestartRerunsInit)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     auto off = std::make_shared<CountingInit>();
-    cluster.mn(0).registerOffload(77, off);
+    cluster.mn(0).registerOffload({.id = 77, .name = "counting-init"}, off);
     EXPECT_EQ(off->inits, 1);
     cluster.mn(0).crash();
     cluster.mn(0).restart();
@@ -486,6 +487,157 @@ TEST(OffloadRuntimeTest, RestartRerunsInit)
         client.rcall(cluster.mn(0).nodeId(), 77, {});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->value, 0u); // fresh page again, not 999
+}
+
+// ---------------------------------------------------------------------
+// Path agreement: DevBoard, rcall and a one-stage rcall_chain
+// ---------------------------------------------------------------------
+
+constexpr std::uint32_t kKvId = 7;
+
+/** What one offload call returned, on any path. */
+struct CallOutcome
+{
+    Status status = Status::kOk;
+    std::uint64_t value = 0;
+    std::string data;
+    std::uint32_t err_code = 0;
+    std::string message;
+};
+
+CallOutcome
+outcomeOf(const Result<OffloadReply> &r)
+{
+    CallOutcome out;
+    out.status = r.status();
+    if (r.ok()) {
+        out.value = r->value;
+        out.data.assign(r->data.begin(), r->data.end());
+    } else {
+        out.err_code = r.errCode();
+        out.message = r.errMessage();
+    }
+    return out;
+}
+
+/** The same offloads deployed on a DevBoard and on both MNs of a
+ * cluster: rcall goes to MN 0, chains to MN 1, so each path starts
+ * from the same empty state. */
+struct PathFixture
+{
+    DevBoard dev;
+    Cluster cluster{ModelConfig::prototype(), 1, 2};
+    ClioClient &client = cluster.createClient(0);
+
+    PathFixture()
+    {
+        dev.registerOffload(ClioKvOffload::descriptor(kKvId),
+                            std::make_shared<ClioKvOffload>());
+        dev.registerOffload(AccumOffload::descriptor(kAccumId),
+                            std::make_shared<AccumOffload>());
+        for (std::uint32_t m = 0; m < 2; m++) {
+            cluster.mn(m).registerOffload(ClioKvOffload::descriptor(kKvId),
+                                          std::make_shared<ClioKvOffload>());
+            cluster.mn(m).registerOffload(
+                AccumOffload::descriptor(kAccumId),
+                std::make_shared<AccumOffload>());
+        }
+    }
+
+    CallOutcome
+    viaDevBoard(std::uint32_t id, const std::vector<std::uint8_t> &arg)
+    {
+        CallOutcome out;
+        std::vector<std::uint8_t> data;
+        out.status = dev.offloadCall(id, arg, &data, &out.value);
+        if (out.status == Status::kOk) {
+            out.data.assign(data.begin(), data.end());
+            return out;
+        }
+        // offloadCall reports only the status of a failure; the board
+        // call it wraps names the code and message. The rejections
+        // compared here have no side effects, so asking twice is safe.
+        OffloadResult res;
+        dev.board().invokeOffloadLocal(id, arg, res);
+        out.err_code = res.err_code;
+        out.message = res.err_msg;
+        return out;
+    }
+
+    CallOutcome
+    viaRcall(std::uint32_t id, const std::vector<std::uint8_t> &arg)
+    {
+        return outcomeOf(client.rcall(cluster.mn(0).nodeId(), id, arg));
+    }
+
+    /** A one-stage chain; a failure's "stage 0: " prefix is checked
+     * and stripped. */
+    CallOutcome
+    viaChain(std::uint32_t id, const std::vector<std::uint8_t> &arg)
+    {
+        ChainPlan plan;
+        plan.stage(id, arg);
+        CallOutcome out =
+            outcomeOf(client.rcall_chain(cluster.mn(1).nodeId(), plan));
+        if (out.status != Status::kOk) {
+            const std::string prefix = "stage 0: ";
+            EXPECT_EQ(out.message.compare(0, prefix.size(), prefix), 0)
+                << out.message;
+            out.message.erase(0, prefix.size());
+        }
+        return out;
+    }
+
+    /** Run one call on all three paths; every field must agree.
+     * @return the DevBoard path's outcome. */
+    CallOutcome
+    expectAgree(std::uint32_t id, const std::vector<std::uint8_t> &arg)
+    {
+        const CallOutcome local = viaDevBoard(id, arg);
+        const CallOutcome single = viaRcall(id, arg);
+        const CallOutcome chain = viaChain(id, arg);
+        for (const CallOutcome *net : {&single, &chain}) {
+            const char *path = net == &single ? "rcall" : "rcall_chain";
+            EXPECT_EQ(net->status, local.status) << path;
+            EXPECT_EQ(net->value, local.value) << path;
+            EXPECT_EQ(net->data, local.data) << path;
+            EXPECT_EQ(net->err_code, local.err_code) << path;
+            EXPECT_EQ(net->message, local.message) << path;
+        }
+        return local;
+    }
+};
+
+TEST(OffloadPathAgreement, KvPutGetHitGetMiss)
+{
+    PathFixture f;
+    const CallOutcome put =
+        f.expectAgree(kKvId, kvEncode(KvOp::kPut, "k", "hello"));
+    EXPECT_EQ(put.status, Status::kOk);
+    const CallOutcome hit = f.expectAgree(kKvId, kvEncode(KvOp::kGet, "k"));
+    EXPECT_EQ(hit.status, Status::kOk);
+    EXPECT_EQ(hit.value, 1u);
+    EXPECT_EQ(hit.data, "hello");
+    const CallOutcome miss =
+        f.expectAgree(kKvId, kvEncode(KvOp::kGet, "absent"));
+    EXPECT_EQ(miss.status, Status::kOk);
+    EXPECT_EQ(miss.value, 0u);
+}
+
+TEST(OffloadPathAgreement, RuntimeRejectionsMatch)
+{
+    PathFixture f;
+    const CallOutcome unregistered = f.expectAgree(777, {});
+    EXPECT_EQ(unregistered.status, Status::kOffloadError);
+    EXPECT_EQ(unregistered.err_code,
+              static_cast<std::uint32_t>(OffloadErrc::kUnregistered));
+    // 4 bytes against the 16-byte schema.
+    const CallOutcome bad_size =
+        f.expectAgree(kAccumId, std::vector<std::uint8_t>(4));
+    EXPECT_EQ(bad_size.status, Status::kOffloadError);
+    EXPECT_EQ(bad_size.err_code,
+              static_cast<std::uint32_t>(OffloadErrc::kBadArgument));
+    EXPECT_FALSE(bad_size.message.empty());
 }
 
 } // namespace
