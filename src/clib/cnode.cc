@@ -113,7 +113,7 @@ CNode::issue(std::shared_ptr<RequestMsg> req,
 void
 CNode::pumpWaiting()
 {
-    // The incast window is one credit pool shared by every
+    // The response-byte window is one credit pool shared by every
     // destination: response bytes freed by a completion to one MN can
     // unblock a request queued for a different MN. Waking only the
     // completing MN's queue would strand the others forever (no timer
@@ -152,16 +152,35 @@ CNode::trySend(NodeId mn)
             continue;
         }
         Outstanding &out = out_slots_[slot];
-        // Incast window: bound expected response bytes (always admit
-        // at least one request so big reads are not starved).
+        // Incast windows, one per ingress link: expected response
+        // bytes into this CN, and request bytes into this MN.
+        // Each always admits at least one request, so a big read or
+        // write is never starved.
         if (iwnd_used_ > 0 &&
             iwnd_used_ + out.expected_resp_bytes > cfg_.clib.iwnd_bytes)
             return;
+        const std::uint64_t req_bytes = requestPayloadBytes(*out.req);
+        if (st.req_bytes > 0 &&
+            st.req_bytes + req_bytes > cfg_.clib.iwnd_bytes)
+            return;
         wait.pop_front();
         st.inflight++;
+        st.req_bytes += req_bytes;
         iwnd_used_ += out.expected_resp_bytes;
         transmit(out);
     }
+}
+
+void
+CNode::release(const Outstanding &out)
+{
+    PerMn &st = mn_state_[mnIndex(out.req->dst)];
+    const std::uint64_t req_bytes = requestPayloadBytes(*out.req);
+    clio_assert(st.inflight > 0 && st.req_bytes >= req_bytes,
+                "window underflow");
+    st.inflight--;
+    st.req_bytes -= req_bytes;
+    iwnd_used_ -= out.expected_resp_bytes;
 }
 
 void
@@ -278,10 +297,7 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
             node_, (unsigned long long)out.req->orig_req_id,
             out.req->dst, to_string(status), out.retries));
         stats_.failures++;
-        PerMn &st = mn_state_[mnIndex(mn)];
-        clio_assert(st.inflight > 0, "inflight underflow");
-        st.inflight--;
-        iwnd_used_ -= out.expected_resp_bytes;
+        release(out);
         const Tick deliver = eq_.now() + cfg_.clib.recv_overhead;
         auto cb = std::move(out.cb);
         eq_.schedule(deliver, [cb = std::move(cb), status] {
@@ -450,10 +466,7 @@ CNode::onPacket(Packet pkt)
         return;
     }
 
-    PerMn &st = mn_state_[mnIndex(mn)];
-    clio_assert(st.inflight > 0, "inflight underflow");
-    st.inflight--;
-    iwnd_used_ -= out.expected_resp_bytes;
+    release(out);
     stats_.responses++;
 
     auto resp = out.resp;
@@ -500,6 +513,7 @@ CNode::crash()
         wait.clear();
     for (auto &st : mn_state_) {
         st.inflight = 0;
+        st.req_bytes = 0;
         st.next_send_allowed = 0;
     }
     iwnd_used_ = 0;

@@ -11,7 +11,9 @@
  *    NACK, corrupted response, or timeout (§4.5 T4);
  *  - delay-based AIMD congestion window per MN, which may fall below
  *    one outstanding request under heavy congestion (Swift-style,
- *    §4.4), plus an incast window bounding expected response bytes;
+ *    §4.4), plus two incast windows of `clib.iwnd_bytes` each: request
+ *    bytes per MN bound incast into that MN's link, and expected
+ *    response bytes per CN bound incast into this CN's link;
  *  - MTU split on send and response reassembly on receive (T1).
  *
  * Layout note: one CNode is shared by every simulated process on its
@@ -79,10 +81,14 @@ class CNode
     /**
      * Issue one request. The transport owns ordering *below* the
      * request level only; inter-request ordering is the client
-     * layer's job (T2). `req->dst` selects the MN.
+     * layer's job (T2). `req->dst` selects the MN. The request is
+     * transmitted once `req->dst`'s cwnd, that MN's request-byte
+     * window (charged `requestPayloadBytes(*req)`: a write's size) and
+     * this CN's response-byte window all have room; it waits in FIFO
+     * order per MN until then.
      *
-     * @param expected_resp_bytes response payload size for the incast
-     *        window (reads: size; others: ~0).
+     * @param expected_resp_bytes response payload size for the
+     *        response-byte window (reads: size; others: ~0).
      */
     void issue(std::shared_ptr<RequestMsg> req,
                std::uint64_t expected_resp_bytes, Completion cb);
@@ -166,6 +172,9 @@ class CNode
     {
         double cwnd = 0.0;
         std::uint32_t inflight = 0;
+        /** Request payload bytes in flight to this MN (its incast
+         * window, capped at `clib.iwnd_bytes`). */
+        std::uint64_t req_bytes = 0;
         /** Pacing gate used when cwnd < 1. */
         Tick next_send_allowed = 0;
         Tick last_rtt = 0;
@@ -175,12 +184,15 @@ class CNode
     static_assert(std::is_trivially_copyable_v<PerMn>);
 
     void onPacket(Packet pkt);
-    /** Re-pump every per-MN wait queue (shared-iwnd wakeup). */
+    /** Re-pump every per-MN wait queue (shared response-window
+     * wakeup). */
     void pumpWaiting();
     void trySend(NodeId mn);
     void heartbeatTick();
     /** Retry timeout for one request (type-dependent, §4.5). */
     Tick timeoutFor(const RequestMsg &req) const;
+    /** Return a finished request's cwnd slot and window bytes. */
+    void release(const Outstanding &out);
     void transmit(Outstanding &out);
     void armTimeout(ReqId attempt_id, std::uint64_t generation);
     void handleTimeout(ReqId attempt_id, std::uint64_t generation);

@@ -144,8 +144,10 @@ struct CLibConfig
     double cwnd_mult_dec = 0.7;
     /** RTT above which the delay-based controller signals congestion. */
     Tick target_rtt = 25 * kMicrosecond;
-    /** Incast window: max bytes of expected responses outstanding,
-     * sized near the bandwidth-delay product of the 10 Gbps port. */
+    /** Incast window, sized near the bandwidth-delay product of the
+     * 10 Gbps port. It caps both the expected response bytes
+     * outstanding at one CN and each CN's request bytes outstanding
+     * to one MN. */
     std::uint64_t iwnd_bytes = 48 * KiB;
     /** Chunk size for replica heal/resync copy streams. Bigger chunks
      * finish resyncs faster but hold the incast window longer against

@@ -1,23 +1,22 @@
 /**
  * @file
- * Go-Back-N reference transport (Fig. 22's "Go-Back-N" row).
+ * Go-Back-N reference transport: test support for the GoBackN.* tests.
  *
  * This is the conventional, stateful hardware transport design that
  * Clio deliberately avoids: per-flow sequence numbers at both ends, a
  * per-flow retransmission buffer at the sender, cumulative ACKs, and
- * in-order delivery. It is implemented here (a) as the comparison
- * point for the FPGA resource estimate — its per-flow buffers dwarf
- * Clio's transportless network stack — and (b) as a working transport
- * whose behaviour under loss can be tested against CLib's
- * request-level retry.
+ * in-order delivery. It is a working transport whose per-flow state
+ * and behaviour under loss the tests compare with CLib's request-level
+ * retry. Nothing in the library uses it: Fig. 22's "Go-Back-N" row
+ * comes from the published resource constants in energy/resources.cc.
  *
  * One GbnEndpoint terminates any number of flows, each identified by
  * the peer node id. Messages are byte blobs delivered reliably and in
  * order per flow.
  */
 
-#ifndef CLIO_TRANSPORT_GO_BACK_N_HH
-#define CLIO_TRANSPORT_GO_BACK_N_HH
+#ifndef CLIO_TESTS_SUPPORT_GO_BACK_N_HH
+#define CLIO_TESTS_SUPPORT_GO_BACK_N_HH
 
 #include <cstdint>
 #include <deque>
@@ -132,4 +131,4 @@ class GbnEndpoint
 
 } // namespace clio
 
-#endif // CLIO_TRANSPORT_GO_BACK_N_HH
+#endif // CLIO_TESTS_SUPPORT_GO_BACK_N_HH

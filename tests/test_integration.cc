@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "apps/kv_store.hh"
+#include "apps/runner.hh"
 #include "cluster/cluster.hh"
 #include "sim/rng.hh"
 
@@ -748,6 +750,63 @@ TEST(Integration, ThroughputReachesLineRateWithAsync)
         static_cast<double>(bytes) * 8.0 / ticksToSeconds(elapsed) / 1e9;
     EXPECT_GT(gbps, 4.0); // within reach of the 10 Gbps port
     EXPECT_LT(gbps, 10.0);
+}
+
+TEST(Integration, ConcurrentBulkWritesDoNotTimeOut)
+{
+    // Write incast on a lossless fabric: 4 processes on each of 2 CNs
+    // run closed loops of 64 KiB writes into one MN. Eight such writes
+    // queued on the MN's 10 Gbps link take longer than one write's
+    // size-scaled timeout, so unless each CN bounds the request bytes
+    // it has outstanding to the MN, writes time out (and are retried)
+    // while still queued in the switch.
+    constexpr std::uint32_t kCns = 2;
+    constexpr std::uint32_t kProcsPerCn = 4;
+    constexpr std::uint64_t kXfer = 64 * KiB;
+    constexpr int kWritesPerProc = 40;
+    const ModelConfig cfg = baseConfig();
+    ASSERT_TRUE(cfg.net.lossless);
+    ClusterSpec spec;
+    spec.cns_per_rack = kCns;
+    Cluster cluster(cfg, spec);
+
+    struct Proc
+    {
+        ClioClient *client = nullptr;
+        VirtAddr base = 0;
+        int left = kWritesPerProc;
+        HandlePtr last;
+    };
+    std::vector<Proc> procs(kCns * kProcsPerCn);
+    for (std::size_t i = 0; i < procs.size(); i++) {
+        procs[i].client = &cluster.createClient(i % kCns);
+        procs[i].base = procs[i].client->ralloc(4 * MiB).value_or(0);
+        ASSERT_NE(procs[i].base, 0u);
+    }
+
+    const std::vector<std::uint8_t> data(kXfer, 0xB7);
+    std::vector<Status> results;
+    ClosedLoopRunner runner(cluster.eventQueue());
+    for (Proc &p : procs) {
+        runner.addActor([&p, &data, &results] {
+            if (p.last)
+                results.push_back(p.last->status);
+            if (p.left == 0)
+                return ActorStep::done();
+            const VirtAddr at = p.base + (p.left-- % 64) * kXfer;
+            p.last = p.client->rwriteAsync(at, data.data(), data.size());
+            return ActorStep::wait(p.last);
+        });
+    }
+    runner.run();
+
+    ASSERT_EQ(results.size(), procs.size() * kWritesPerProc);
+    EXPECT_EQ(std::count(results.begin(), results.end(), Status::kOk),
+              static_cast<std::ptrdiff_t>(results.size()));
+    for (std::uint32_t c = 0; c < kCns; c++) {
+        EXPECT_EQ(cluster.cn(c).stats().timeouts, 0u) << "CN " << c;
+        EXPECT_EQ(cluster.cn(c).stats().retries, 0u) << "CN " << c;
+    }
 }
 
 } // namespace

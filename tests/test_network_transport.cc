@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the network model, MTU splitting, the CN transport
- * (CNode), and the Go-Back-N reference transport.
+ * (CNode) and its admission windows, and the Go-Back-N reference
+ * transport (tests/support).
  */
 
 #include <gtest/gtest.h>
@@ -9,12 +10,13 @@
 #include <numeric>
 #include <vector>
 
+#include "chaos/fault_plan.hh"
 #include "clib/cnode.hh"
 #include "cluster/cluster.hh"
 #include "net/network.hh"
 #include "proto/wire.hh"
 #include "sim/rng.hh"
-#include "transport/go_back_n.hh"
+#include "support/go_back_n.hh"
 
 namespace clio {
 namespace {
@@ -296,6 +298,115 @@ TEST(CNode, RttHistogramPopulated)
         client.rwrite(addr, &v, 8);
     EXPECT_GE(cluster.cn(0).rttHistogram().count(), 20u);
     EXPECT_GT(cluster.cn(0).rttHistogram().median(), kMicrosecond);
+}
+
+// ----------------------------------------------------------------
+// CNode admission: request bytes per MN, response bytes per CN
+// ----------------------------------------------------------------
+
+TEST(CNode, RequestByteWindowIsPerMn)
+{
+    // A 64 KiB write fills MN A's request-byte window on its own. A
+    // 16 B read from the same CN to MN B charges nothing against it,
+    // so it leaves the CN in the same tick as the write instead of
+    // waiting for the write's response.
+    Cluster cluster(ModelConfig::prototype(), 1, 2);
+    const ModelConfig &cfg = cluster.config();
+    ClioClient &client = cluster.createClient(0);
+    const NodeId mn_b = cluster.mn(1).nodeId();
+    const VirtAddr a = client.ralloc(4 * MiB).value_or(0);
+    auto alloc_b = client.rallocAsync(4 * MiB, kPermReadWrite, false, mn_b);
+    ASSERT_TRUE(client.rpoll(alloc_b));
+    const VirtAddr b = alloc_b->value;
+    ASSERT_NE(a, 0u);
+    ASSERT_NE(client.mnFor(a), mn_b);
+    ASSERT_EQ(client.mnFor(b), mn_b);
+
+    EventQueue &eq = cluster.eventQueue();
+    const std::uint64_t sent_before = cluster.network().stats().sent;
+    const std::vector<std::uint8_t> data(64 * KiB, 0x3C);
+    std::uint8_t got[16] = {};
+    HandlePtr write = client.rwriteAsync(a, data.data(), data.size());
+    HandlePtr read = client.rreadAsync(b, got, sizeof(got));
+    eq.runUntilTime(eq.now() + cfg.clib.send_overhead +
+                    cfg.clib.nic_latency);
+    EXPECT_EQ(cluster.network().stats().sent - sent_before,
+              packetCount(data.size(), cfg.net.mtu) +
+                  packetCount(0, cfg.net.mtu));
+    ASSERT_TRUE(eq.runUntil([&] { return read->done; }));
+    EXPECT_FALSE(write->done);
+    EXPECT_TRUE(client.rpoll({write, read}));
+}
+
+TEST(CNode, RetryExhaustionReleasesRequestBytes)
+{
+    // Writes to an MN that a FaultPlan killed exhaust their retries.
+    // A 64 KiB write fills the MN's request-byte window alone, so the
+    // fresh write after the MN restarts is only admitted if every
+    // byte the failed writes charged was released.
+    auto cfg = ModelConfig::prototype();
+    Cluster cluster(cfg, 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    EventQueue &eq = cluster.eventQueue();
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+
+    const Tick crash_at = eq.now() + kMicrosecond;
+    FaultPlan plan;
+    plan.crashMn(crash_at, 0).restartMn(crash_at + 20 * kMillisecond, 0);
+    FaultInjector injector(cluster, plan, 1);
+    injector.arm();
+    eq.runUntilTime(crash_at);
+    ASSERT_FALSE(cluster.mnAlive(0));
+
+    const std::vector<std::uint8_t> data(64 * KiB, 0x77);
+    HandlePtr w1 = client.rwriteAsync(addr, data.data(), data.size());
+    HandlePtr w2 =
+        client.rwriteAsync(addr + 64 * KiB, data.data(), data.size());
+    ASSERT_TRUE(eq.runUntil([&] { return w1->done && w2->done; }));
+    EXPECT_EQ(w1->status, Status::kTimeout);
+    EXPECT_EQ(w2->status, Status::kTimeout);
+    EXPECT_EQ(cluster.cn(0).stats().failures, 2u);
+
+    cluster.run(); // past the restart: the board is back, empty
+    ASSERT_TRUE(cluster.mnAlive(0));
+    const VirtAddr fresh = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(fresh, 0u);
+    HandlePtr w3 = client.rwriteAsync(fresh, data.data(), data.size());
+    cluster.run();
+    ASSERT_TRUE(w3->done) << "fresh write never admitted";
+    EXPECT_EQ(w3->status, Status::kOk);
+}
+
+TEST(CNode, CrashRestartReleasesRequestBytes)
+{
+    // A CN crash fails its in-flight and queued writes; after restart
+    // a fresh 64 KiB write (a full request-byte window on its own) is
+    // admitted, so the crash released every charged byte.
+    Cluster cluster(ModelConfig::prototype(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    EventQueue &eq = cluster.eventQueue();
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+
+    const std::vector<std::uint8_t> data(64 * KiB, 0x21);
+    std::vector<HandlePtr> writes;
+    for (int i = 0; i < 3; i++)
+        writes.push_back(
+            client.rwriteAsync(addr + i * 64 * KiB, data.data(), data.size()));
+    eq.runUntilTime(eq.now() + 10 * kMicrosecond);
+    ASSERT_FALSE(writes[0]->done);
+    cluster.crashCn(0);
+    cluster.run();
+    for (const HandlePtr &w : writes)
+        EXPECT_EQ(w->status, Status::kTimeout);
+
+    cluster.restartCn(0);
+    HandlePtr fresh = client.rwriteAsync(addr, data.data(), data.size());
+    cluster.run();
+    ASSERT_TRUE(fresh->done) << "fresh write never admitted";
+    EXPECT_EQ(fresh->status, Status::kOk);
+    EXPECT_EQ(cluster.cn(0).stats().timeouts, 0u);
 }
 
 // ----------------------------------------------------------------
