@@ -153,6 +153,27 @@ ClioKvOffload::writeSlot(OffloadVm &vm, std::uint64_t addr,
     return vm.write(addr, &slot, kSlotBytes);
 }
 
+bool
+ClioKvOffload::blockHoldsKey(OffloadVm &vm, std::uint64_t addr,
+                             const std::string &key,
+                             std::uint32_t *value_len)
+{
+    // The hardware pulls a whole DRAM burst anyway, so the header and
+    // the longest key cost one access (slabAlloc keeps it in bounds).
+    std::uint8_t burst[8 + kMaxKeyBytes];
+    if (!vm.read(addr, burst, sizeof(burst)))
+        return false;
+    std::uint32_t lens[2];
+    std::memcpy(lens, burst, 8);
+    if (lens[0] > kMaxKeyBytes ||
+        std::string_view(reinterpret_cast<const char *>(burst + 8),
+                         lens[0]) != key)
+        return false;
+    if (value_len)
+        *value_len = lens[1];
+    return true;
+}
+
 OffloadResult
 ClioKvOffload::invoke(OffloadVm &vm, const std::vector<std::uint8_t> &arg)
 {
@@ -203,24 +224,15 @@ ClioKvOffload::get(OffloadVm &vm, const std::string &key)
                                 "clio-kv: slot read faulted");
         }
         for (const Entry &entry : slot.entries) {
-            if (entry.fp != h || entry.addr == 0)
+            // Fingerprint first; a collision keeps searching. A match
+            // costs one more access, for the value.
+            std::uint32_t value_len = 0;
+            if (entry.fp != h || entry.addr == 0 ||
+                !blockHoldsKey(vm, entry.addr, key, &value_len))
                 continue;
-            // Fingerprint match: one speculative burst fetches the
-            // header and the key together (hardware pulls a whole
-            // DRAM burst anyway), then one more access for the value.
-            std::uint8_t burst[8 + kMaxKeyBytes];
-            if (!vm.read(entry.addr, burst, sizeof(burst)))
-                continue;
-            std::uint32_t lens[2];
-            std::memcpy(lens, burst, 8);
-            if (lens[0] > kMaxKeyBytes)
-                continue; // foreign/corrupt block
-            if (std::string_view(
-                    reinterpret_cast<const char *>(burst + 8),
-                    lens[0]) != key)
-                continue; // fingerprint collision: keep searching
-            res.data.resize(lens[1]);
-            vm.read(entry.addr + 8 + lens[0], res.data.data(), lens[1]);
+            res.data.resize(value_len);
+            vm.read(entry.addr + 8 + key.size(), res.data.data(),
+                    value_len);
             res.value = 1; // found
             return res;
         }
@@ -275,17 +287,12 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
         }
         for (int i = 0; i < static_cast<int>(kEntriesPerSlot); i++) {
             Entry &entry = slot.entries[i];
-            if (entry.fp == h && entry.addr != 0) {
-                std::uint32_t stored[2];
-                vm.read(entry.addr, stored, 8);
-                std::string stored_key(stored[0], '\0');
-                vm.read(entry.addr + 8, stored_key.data(), stored[0]);
-                if (stored_key == key) {
-                    // Overwrite: pointer flip to the new block.
-                    entry.addr = block;
-                    vm.write(cursor + 8 + i * 16, &entry, 16);
-                    return res;
-                }
+            if (entry.fp == h && entry.addr != 0 &&
+                blockHoldsKey(vm, entry.addr, key)) {
+                // Overwrite: pointer flip to the new block.
+                entry.addr = block;
+                vm.write(cursor + 8 + i * 16, &entry, 16);
+                return res;
             }
             if (entry.addr == 0 && free_index < 0) {
                 free_slot = cursor;
@@ -334,13 +341,8 @@ ClioKvOffload::del(OffloadVm &vm, const std::string &key)
         }
         for (int i = 0; i < static_cast<int>(kEntriesPerSlot); i++) {
             Entry &entry = slot.entries[i];
-            if (entry.fp != h || entry.addr == 0)
-                continue;
-            std::uint32_t stored[2];
-            vm.read(entry.addr, stored, 8);
-            std::string stored_key(stored[0], '\0');
-            vm.read(entry.addr + 8, stored_key.data(), stored[0]);
-            if (stored_key != key)
+            if (entry.fp != h || entry.addr == 0 ||
+                !blockHoldsKey(vm, entry.addr, key))
                 continue;
             Entry cleared{};
             vm.write(cursor + 8 + i * 16, &cleared, 16);

@@ -89,6 +89,14 @@ class ClioKvOffload : public Offload
     bool readSlot(OffloadVm &vm, std::uint64_t addr, Slot &slot);
     bool writeSlot(OffloadVm &vm, std::uint64_t addr, const Slot &slot);
 
+    /** Does the block at `addr` hold `key`? One speculative burst
+     * fetches its header and key together; a stored key length over
+     * kMaxKeyBytes (a foreign or corrupt block) never matches.
+     * @param value_len when non-null, receives the value's length. */
+    static bool blockHoldsKey(OffloadVm &vm, std::uint64_t addr,
+                              const std::string &key,
+                              std::uint32_t *value_len = nullptr);
+
     OffloadResult get(OffloadVm &vm, const std::string &key);
     OffloadResult put(OffloadVm &vm, const std::string &key,
                       const std::string &value);

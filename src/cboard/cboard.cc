@@ -80,7 +80,7 @@ CBoard::restart()
     async_buffer_ = AsyncFreePageBuffer(cfg_.slow_path.async_buffer_pages);
 
     pipeline_free_ = 0;
-    dram_free_ = 0;
+    dram_ = BusyCalendar();
     atomic_free_ = 0;
     arm_free_ = 0;
     gate_open_ = 0;
@@ -378,8 +378,7 @@ CBoard::memoryAccess(Tick t, std::uint64_t bytes, bool is_write)
                                 : cfg_.fast_path.dma_read_setup;
     const Tick xfer = static_cast<Tick>(bytes) *
                       ticksPerByte(cfg_.dram.bandwidth_bps);
-    const Tick start = std::max(t, dram_free_);
-    dram_free_ = start + setup + xfer;
+    const Tick start = dram_.book(eq_.now(), t, setup + xfer);
     return start + setup + cfg_.dram.access_latency + xfer;
 }
 

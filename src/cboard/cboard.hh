@@ -50,6 +50,7 @@
 #include "pagetable/hash_page_table.hh"
 #include "pagetable/tlb.hh"
 #include "proto/messages.hh"
+#include "sim/busy_calendar.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_index.hh"
@@ -196,8 +197,9 @@ class CBoard
     /** @{ Failure layer (chaos engine). A crashed board ignores every
      * packet (its port should also be marked down in the Network so
      * in-flight traffic is dropped); restart() models a board coming
-     * back EMPTY — DRAM, page table, TLB, VA state, dedup buffer, and
-     * watermarks are all reinitialized, registered offloads re-run
+     * back EMPTY — DRAM, page table, TLB, VA state, dedup buffer, the
+     * DRAM calendar and the occupancy watermarks are all
+     * reinitialized, registered offloads re-run
      * init(). Durable state is the replication/controller layer's
      * problem, exactly like on real hardware. */
     bool alive() const { return alive_; }
@@ -328,8 +330,10 @@ class CBoard
                                     bool is_write, Tick &t,
                                     Status &status);
 
-    /** Charge one DRAM access of `bytes` at tick `t` (DMA setup +
-     * latency + bandwidth occupancy); returns the completion tick. */
+    /** Charge one DRAM access of `bytes` issued at tick `t`: it
+     * occupies the DRAM for DMA setup + transfer in the earliest free
+     * gap of `dram_` at or after `t`, and completes access latency
+     * after its setup. @return the completion tick. */
     Tick memoryAccess(Tick t, std::uint64_t bytes, bool is_write);
 
     /** Handle a slow-path request (alloc/free) end to end. */
@@ -370,9 +374,14 @@ class CBoard
     DedupBuffer dedup_;
     AsyncFreePageBuffer async_buffer_;
 
+    /** DRAM occupancy calendar (timing model). Offload calls book
+     * their accesses at future logical ticks when they are admitted;
+     * an access issued later but at an earlier tick (another engine,
+     * the fast path) fills the gaps before those bookings rather than
+     * queueing behind the latest one. */
+    BusyCalendar dram_;
     /** @{ Resource-occupancy watermarks (timing model). */
     Tick pipeline_free_ = 0;  ///< fast-path pipeline (II=1 occupancy)
-    Tick dram_free_ = 0;      ///< DRAM bandwidth occupancy
     Tick atomic_free_ = 0;    ///< synchronization unit serialization
     Tick arm_free_ = 0;       ///< slow-path ARM worker serialization
     Tick gate_open_ = 0;      ///< rfence gate: ops start after this

@@ -12,7 +12,9 @@
  * determinism suite pins this). Queueing (engine wait) and busy time
  * are tracked for modeled latency and the Fig. 21 energy accounting;
  * DRAM time inside an invocation still contends with the fast path
- * through the board's shared DRAM watermark.
+ * through the board's DRAM calendar: each access is booked at its own
+ * logical tick, so an access at an earlier tick takes the gaps before
+ * a call's later bookings rather than queueing behind them.
  */
 
 #ifndef CLIO_OFFLOAD_ENGINE_HH

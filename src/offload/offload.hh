@@ -40,8 +40,8 @@ class CBoard;
 /**
  * Modeled device time of one offload invocation, by component:
  *  - translate: TLB lookups + page-table bucket fetches (TLB misses);
- *  - dram: data movement through the board DRAM (incl. queueing on
- *    the shared DRAM-bandwidth watermark);
+ *  - dram: data movement through the board DRAM (incl. waiting for a
+ *    free gap in the board's DRAM calendar);
  *  - compute: chargeCycles() FPGA processing;
  *  - control: ARM slow-path work (vm.alloc/vm.free) + interconnect
  *    crossings.
@@ -80,10 +80,11 @@ class OffloadVm
     /**
      * @param start_at logical tick the invocation begins (engine grant
      *        for dispatched calls; a chain stage starts where the
-     *        previous stage finished, so its DRAM accesses queue
-     *        behind the board's shared watermarks from that point —
-     *        not from eq.now(), which would re-bill earlier stages'
-     *        occupancy). Defaults to the board's current time.
+     *        previous stage finished, so its DRAM accesses are booked
+     *        in the board's DRAM calendar from that point — not from
+     *        eq.now(), which would let a stage use the DRAM before its
+     *        predecessor finished). Defaults to the board's current
+     *        time.
      */
     OffloadVm(CBoard &board, ProcId pid);
     OffloadVm(CBoard &board, ProcId pid, Tick start_at);

@@ -95,9 +95,9 @@ class OffloadRuntime
 
     /** Schema check + invoke + per-entry stats; returns the modeled
      * device time (schema rejections cost nothing). `start` is the
-     * tick the invocation begins — the VM's accesses queue behind the
-     * board's shared watermarks from there, so back-to-back chain
-     * stages don't re-bill each other's DRAM occupancy. `split`, when
+     * tick the invocation begins — the VM's DRAM accesses are booked
+     * in the board's DRAM calendar from there, so a chain stage's
+     * accesses follow its predecessor's. `split`, when
      * non-null, receives the invocation's cost split. */
     Tick dispatchOne(CBoard &board, OffloadEntry &entry,
                      const std::vector<std::uint8_t> &arg, Tick start,

@@ -91,6 +91,86 @@ TEST(ClioKv, LargeValues)
     EXPECT_EQ(kv.get("big").value_or(""), big);
 }
 
+/** One MN running Clio-KV, driven through its offload runtime
+ * directly: each call is admitted at a chosen tick, no network. */
+struct KvRuntimeBoard
+{
+    /** Spacing of back-to-back calls: long enough that none overlap. */
+    static constexpr Tick kGap = 200 * kMicrosecond;
+
+    Cluster cluster{ModelConfig::prototype(), 1, 1};
+    std::shared_ptr<ClioKvOffload> kv = std::make_shared<ClioKvOffload>();
+    Tick next = 0;
+
+    KvRuntimeBoard()
+    {
+        cluster.mn(0).registerOffload(
+            ClioKvOffload::descriptor(kKvOffloadId), kv);
+    }
+
+    /** Run one call ready at `at`; @return its latency. */
+    Tick
+    call(KvOp op, const std::string &key, const std::string &val, Tick at,
+         OffloadResult &res)
+    {
+        CBoard &mn = cluster.mn(0);
+        return mn.offloadRuntime().runSingle(
+                   mn, kKvOffloadId, kvEncode(op, key, val), at, res) -
+               at;
+    }
+
+    /** Store "key<i>" -> `val` at the next free slot. */
+    void
+    put(int i, const std::string &val)
+    {
+        OffloadResult res;
+        call(KvOp::kPut, "key" + std::to_string(i), val, next, res);
+        ASSERT_EQ(res.status, Status::kOk);
+        next += kGap;
+    }
+};
+
+TEST(ClioKv, GetBesideSlabRefillDoesNotWaitForTheArm)
+{
+    // A put that overflows the current slab refills it through the
+    // ARM (slow-path alloc + interconnect crossing), so the block it
+    // then writes is booked far past the put's admission. A get
+    // admitted at the same tick on the board's other engine reads the
+    // DRAM before those writes, not behind them.
+    ASSERT_EQ(ModelConfig::prototype().offload.engines, 2u);
+    const std::string value(16 * KiB, 'v');
+
+    // Find the put that opens the second slab.
+    int refill = 0;
+    {
+        KvRuntimeBoard probe;
+        while (probe.kv->slabsAllocated() < 2 && refill < 100000)
+            probe.put(refill++, value);
+        refill--;
+    }
+
+    KvRuntimeBoard b;
+    for (int i = 0; i < refill; i++)
+        b.put(i, value);
+    ASSERT_EQ(b.kv->slabsAllocated(), 1u);
+    OffloadResult alone_res;
+    const Tick alone = b.call(KvOp::kGet, "key0", "", b.next, alone_res);
+    ASSERT_EQ(alone_res.value, 1u);
+
+    const Tick t = b.next + KvRuntimeBoard::kGap;
+    OffloadResult put_res, get_res;
+    const Tick put_lat = b.call(KvOp::kPut, "key" + std::to_string(refill),
+                                value, t, put_res);
+    ASSERT_EQ(b.kv->slabsAllocated(), 2u);
+    const Tick get_lat = b.call(KvOp::kGet, "key0", "", t, get_res);
+    EXPECT_GT(put_lat,
+              ModelConfig::prototype().slow_path.interconnect_crossing);
+    ASSERT_EQ(get_res.value, 1u);
+    EXPECT_EQ(std::string(get_res.data.begin(), get_res.data.end()),
+              value);
+    EXPECT_EQ(get_lat, alone);
+}
+
 TEST(ClioKv, PartitionsAcrossMns)
 {
     Cluster cluster(ModelConfig::prototype(), 1, 3);

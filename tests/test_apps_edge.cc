@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "apps/dataframe.hh"
@@ -77,6 +78,53 @@ TEST(KvEdge, EmptyValueAndEmptyishKeys)
               Status::kOk);
     EXPECT_EQ(found, 1u);
     EXPECT_TRUE(data.empty());
+}
+
+TEST(KvEdge, OversizedStoredKeyLengthNeverMatches)
+{
+    // A block whose stored key length exceeds kMaxKeyBytes (foreign or
+    // corrupt memory) is no match for get, put and del alike.
+    DevBoard dev;
+    CBoard &board = dev.board();
+    const ProcId pid = board.registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>());
+    ASSERT_EQ(dev.offloadCall(1, kvEncode(KvOp::kPut, "victim", "old")),
+              Status::kOk);
+
+    // The RAS's first region holds the bucket heads; the second is the
+    // slab the put opened, with the victim's block at its start.
+    const std::uint64_t page = board.config().page_table.page_size;
+    std::vector<VirtAddr> regions;
+    for (VirtAddr va = 0; regions.size() < 2 && va < 1024 * page;
+         va += page) {
+        const VaRegion *r = board.vaAllocator().regionOf(pid, va);
+        if (r && (regions.empty() || regions.back() != r->start))
+            regions.push_back(r->start);
+    }
+    ASSERT_EQ(regions.size(), 2u);
+    OffloadVm vm(board, pid);
+    std::uint32_t lens[2] = {};
+    ASSERT_TRUE(vm.read(regions[1], lens, sizeof(lens)));
+    ASSERT_EQ(lens[0], 6u);
+    lens[0] = ClioKvOffload::kMaxKeyBytes + 1;
+    ASSERT_TRUE(vm.write(regions[1], lens, sizeof(lens)));
+
+    auto call = [&](KvOp op, const std::string &value = "") {
+        std::vector<std::uint8_t> data;
+        std::uint64_t hit = 0;
+        EXPECT_EQ(dev.offloadCall(1, kvEncode(op, "victim", value), &data,
+                                  &hit),
+                  Status::kOk);
+        return hit ? std::optional<std::string>(
+                         std::string(data.begin(), data.end()))
+                   : std::nullopt;
+    };
+    EXPECT_FALSE(call(KvOp::kGet));
+    EXPECT_FALSE(call(KvOp::kDelete));
+    call(KvOp::kPut, "new"); // inserts beside the foreign block
+    EXPECT_EQ(call(KvOp::kGet).value_or(""), "new");
+    EXPECT_TRUE(call(KvOp::kDelete));
+    EXPECT_FALSE(call(KvOp::kGet));
 }
 
 TEST(KvEdge, MalformedArgumentsRejected)

@@ -214,6 +214,46 @@ TEST(CBoardDevice, ServiceFastPathAgreesWithClusterClient)
               cluster.mn(0).stats().perm_denied);
 }
 
+TEST(CBoardDevice, FutureOffloadDramBookingDoesNotDelayEarlierAccess)
+{
+    // An offload call's timeline is computed when it is admitted, so
+    // its DRAM accesses are booked at future ticks. An access issued
+    // after that booking but at an earlier tick — the fast path, or
+    // another offload's VM — uses the DRAM before it instead of
+    // queueing behind it.
+    const Tick t = 1 * kMillisecond;
+    struct Latencies
+    {
+        Tick fast_path;
+        Tick other_vm;
+    };
+    auto measure = [&](bool book_future_access) {
+        BoardFixture f;
+        const std::uint64_t page = f.board.config().page_table.page_size;
+        const VirtAddr a1 = f.mapPage(1, 1, 0);
+        const VirtAddr a2 = f.mapPage(2, 1, page);
+        ResponseMsg warm;
+        f.board.serviceFastPath(f.makeRead(1, a1, 64, 1), 0, warm);
+        f.board.serviceFastPath(f.makeRead(2, a2, 64, 2), 0, warm);
+        std::vector<std::uint8_t> buf(64 * KiB);
+        if (book_future_access) {
+            OffloadVm late(f.board, 1, t + 50 * kMicrosecond);
+            EXPECT_TRUE(late.write(a1, buf.data(), buf.size()));
+        }
+        ResponseMsg resp;
+        const Tick fast =
+            f.board.serviceFastPath(f.makeRead(1, a1, 64, 3), t, resp) - t;
+        OffloadVm vm(f.board, 2, t);
+        EXPECT_TRUE(vm.read(a2, buf.data(), 64));
+        return Latencies{fast, vm.cost()};
+    };
+    const Latencies alone = measure(false);
+    const Latencies beside = measure(true);
+    EXPECT_EQ(beside.fast_path, alone.fast_path);
+    EXPECT_EQ(beside.other_vm, alone.other_vm);
+    EXPECT_LT(alone.fast_path, 10 * kMicrosecond);
+}
+
 TEST(CBoardDevice, PipelineOccupancyBoundsThroughput)
 {
     // Back-to-back 1 KB reads cannot exceed the datapath's bytes per

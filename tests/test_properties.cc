@@ -16,6 +16,7 @@
 #include "cluster/cluster.hh"
 #include "cluster/shard_map.hh"
 #include "pagetable/hash_page_table.hh"
+#include "sim/busy_calendar.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "valloc/va_allocator.hh"
@@ -444,6 +445,123 @@ TEST_P(ShardMapSweep, RackPreferenceHoldsWheneverRackHasMns)
 
 INSTANTIATE_TEST_SUITE_P(RingSizes, ShardMapSweep,
                          ::testing::Values(1u, 2u, 3u, 6u, 12u, 24u));
+
+// ----------------------------------------------------------------
+// Busy-calendar property sweep: the board DRAM's occupancy model.
+// Requests are issued at or after the current tick, like every DRAM
+// access the board makes, with occupancies of the DMA setup +
+// transfer scale against gaps of up to a few DRAM latencies.
+// ----------------------------------------------------------------
+
+struct Booking
+{
+    Tick start;
+    Tick end;
+};
+
+class BusyCalendarSweep : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(BusyCalendarSweep, BookingsNeverOverlapAndNeverStartEarly)
+{
+    Rng rng(GetParam());
+    BusyCalendar cal;
+    std::vector<Booking> booked;
+    Tick now = 0;
+    for (int i = 0; i < 3000; i++) {
+        now += rng.uniformInt(200);
+        const Tick t = now + rng.uniformInt(2000);
+        const Tick occ = rng.uniformRange(1, 60);
+        const Tick start = cal.book(now, t, occ);
+        ASSERT_GE(start, t);
+        for (const Booking &b : booked)
+            ASSERT_TRUE(start + occ <= b.start || b.end <= start)
+                << "booking " << i << " overlaps";
+        booked.push_back({start, start + occ});
+        ASSERT_LE(cal.size(), BusyCalendar::kDefaultCap);
+    }
+}
+
+TEST_P(BusyCalendarSweep, TakesTheEarliestGapWhileUnderTheCap)
+{
+    // With room for every interval and nothing in the past, each
+    // booking is the earliest fit against all earlier bookings.
+    Rng rng(GetParam());
+    BusyCalendar cal(1u << 20);
+    std::vector<Booking> booked;
+    for (int i = 0; i < 600; i++) {
+        const Tick t = rng.uniformInt(20000);
+        const Tick occ = rng.uniformRange(1, 60);
+        Tick want = t;
+        for (bool moved = true; moved;) {
+            moved = false;
+            for (const Booking &b : booked) {
+                if (want < b.end && b.start < want + occ) {
+                    want = b.end;
+                    moved = true;
+                }
+            }
+        }
+        ASSERT_EQ(cal.book(0, t, occ), want) << "booking " << i;
+        booked.push_back({want, want + occ});
+    }
+}
+
+TEST_P(BusyCalendarSweep, InOrderRequestsGetTheWatermarkAnswer)
+{
+    Rng rng(GetParam());
+    BusyCalendar cal;
+    Tick now = 0, t = 0, watermark = 0;
+    for (int i = 0; i < 5000; i++) {
+        now += rng.uniformInt(40);
+        t = std::max(t + rng.uniformInt(40), now);
+        const Tick occ = rng.uniformRange(1, 60);
+        const Tick start = std::max(t, watermark);
+        watermark = start + occ;
+        ASSERT_EQ(cal.book(now, t, occ), start) << "booking " << i;
+    }
+}
+
+TEST_P(BusyCalendarSweep, CapZeroIsExactlyTheWatermark)
+{
+    Rng rng(GetParam());
+    BusyCalendar cal(0);
+    Tick watermark = 0;
+    for (int i = 0; i < 2000; i++) {
+        const Tick t = rng.uniformInt(50000);
+        const Tick occ = rng.uniformRange(1, 60);
+        const Tick start = std::max(t, watermark);
+        watermark = start + occ;
+        ASSERT_EQ(cal.book(0, t, occ), start) << "booking " << i;
+        ASSERT_EQ(cal.size(), 0u);
+    }
+}
+
+TEST_P(BusyCalendarSweep, SameTickBurstStaysWithinTheCap)
+{
+    // Calls admitted at one tick book far ahead of it: nothing is in
+    // the past, so only the cap bounds the calendar. It fills up to
+    // the cap and never passes it.
+    Rng rng(GetParam());
+    BusyCalendar cal;
+    std::vector<Booking> booked;
+    std::size_t peak = 0;
+    for (int i = 0; i < 2000; i++) {
+        const Tick t = rng.uniformInt(1000000);
+        const Tick occ = rng.uniformRange(1, 60);
+        const Tick start = cal.book(0, t, occ);
+        ASSERT_GE(start, t);
+        for (const Booking &b : booked)
+            ASSERT_TRUE(start + occ <= b.start || b.end <= start);
+        booked.push_back({start, start + occ});
+        peak = std::max(peak, cal.size());
+    }
+    EXPECT_EQ(peak, BusyCalendar::kDefaultCap);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BusyCalendarSweep,
+                         ::testing::Values(1u, 2u, 90210u));
 
 } // namespace
 } // namespace clio
