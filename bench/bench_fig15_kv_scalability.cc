@@ -4,7 +4,8 @@
  *
  * Keys are partitioned across MNs by the CN-side load balancer; with
  * more MNs the aggregate throughput scales until the CN side
- * saturates (paper Fig. 15).
+ * saturates (paper Fig. 15). Exits nonzero if any workload's
+ * throughput drops when an MN is added (1 to 4 MNs).
  */
 
 #include <memory>
@@ -97,13 +98,26 @@ main()
     bench::banner("Fig. 15", "Clio-KV throughput (MOPS) vs number of "
                              "MNs, YCSB A/B/C, zipf 0.99, 1 KB values");
     bench::header({"MNs", "Workload-A", "Workload-B", "Workload-C"});
+    const YcsbWorkload workloads[] = {YcsbWorkload::kA, YcsbWorkload::kB,
+                                      YcsbWorkload::kC};
+    std::vector<double> prev;
+    bool ok = true;
     for (std::uint32_t mns : {1u, 2u, 3u, 4u}) {
-        bench::row(std::to_string(mns),
-                   {mops(mns, YcsbWorkload::kA),
-                    mops(mns, YcsbWorkload::kB),
-                    mops(mns, YcsbWorkload::kC)});
+        std::vector<double> cur;
+        for (YcsbWorkload w : workloads)
+            cur.push_back(mops(mns, w));
+        bench::row(std::to_string(mns), cur);
+        for (std::size_t i = 0; i < prev.size(); i++)
+            if (cur[i] < prev[i])
+                ok = false;
+        prev = cur;
     }
     bench::note("expected shape: throughput grows with MNs until the "
                 "CN-side port saturates (paper Fig. 15).");
+    if (!ok) {
+        bench::note("FAIL: some workload's MOPS dropped when an MN was "
+                    "added");
+        return 1;
+    }
     return 0;
 }

@@ -3,8 +3,11 @@
  * Fig. 18: Key-value store latency under YCSB A/B/C — Clio-KV (full
  * simulated stack, extend-path offload) vs Clover, HERD, and HERD on
  * BlueField (latency-profile models), zipf 0.99, 1 KB values.
+ * Exits nonzero unless, on every workload, Clio's median is within
+ * 10% of HERD's and HERD-BF is the slowest system.
  */
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -22,6 +25,9 @@ constexpr std::uint32_t kOffloadId = 1;
 constexpr std::uint64_t kKeys = 2000;
 constexpr std::uint32_t kValueBytes = 1024;
 constexpr int kOps = 1200;
+/** Gate: Clio's median may exceed HERD's by this fraction (the paper
+ * calls Clio-KV's latency similar to HERD's). */
+constexpr double kCloseToHerd = 0.10;
 
 double
 clioKvUs(YcsbWorkload workload)
@@ -80,27 +86,33 @@ main()
     HerdModel herd_bf(cfg, true);
 
     bench::header({"workload", "Clio", "Clover", "HERD", "HERD-BF"});
+    bool ok = true;
     for (auto w : {YcsbWorkload::kA, YcsbWorkload::kB, YcsbWorkload::kC}) {
-        bench::row(
-            ycsbName(w),
-            {clioKvUs(w),
-             modelUs(
-                 w, [&](std::uint64_t n) { return clover.readLatency(n); },
-                 [&](std::uint64_t n) {
-                     // Clover set: allocate + write + pointer update.
-                     return clover.writeLatency(n) +
-                            clover.readLatency(32);
-                 }),
-             modelUs(
-                 w, [&](std::uint64_t n) { return herd.getLatency(n); },
-                 [&](std::uint64_t n) { return herd.putLatency(n); }),
-             modelUs(
-                 w,
-                 [&](std::uint64_t n) { return herd_bf.getLatency(n); },
-                 [&](std::uint64_t n) { return herd_bf.putLatency(n); })});
+        const double clio = clioKvUs(w);
+        const double clover_us = modelUs(
+            w, [&](std::uint64_t n) { return clover.readLatency(n); },
+            [&](std::uint64_t n) {
+                // Clover set: allocate + write + pointer update.
+                return clover.writeLatency(n) + clover.readLatency(32);
+            });
+        const double herd_us = modelUs(
+            w, [&](std::uint64_t n) { return herd.getLatency(n); },
+            [&](std::uint64_t n) { return herd.putLatency(n); });
+        const double herd_bf_us = modelUs(
+            w, [&](std::uint64_t n) { return herd_bf.getLatency(n); },
+            [&](std::uint64_t n) { return herd_bf.putLatency(n); });
+        bench::row(ycsbName(w), {clio, clover_us, herd_us, herd_bf_us});
+        if (clio > herd_us * (1 + kCloseToHerd) ||
+            herd_bf_us <= std::max({clio, clover_us, herd_us}))
+            ok = false;
     }
     bench::note("expected shape: Clio-KV best or close to HERD; "
                 "HERD-BF worst (chip crossing); Clover hurt by "
                 "multi-RTT sets (paper Fig. 18).");
+    if (!ok) {
+        bench::note("FAIL: Clio's median above HERD's x 1.10, or HERD-BF "
+                    "not the slowest, on some workload");
+        return 1;
+    }
     return 0;
 }

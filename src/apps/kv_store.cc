@@ -37,11 +37,12 @@ kvEncode(KvOp op, const std::string &key, const std::string &value)
 
 namespace {
 
+/** A decoded request; key and value view the argument bytes. */
 struct Decoded
 {
     KvOp op;
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
     bool ok = false;
 };
 
@@ -57,7 +58,8 @@ kvDecode(const std::vector<std::uint8_t> &arg)
     std::size_t pos = 3;
     if (arg.size() < pos + klen)
         return d;
-    d.key.assign(reinterpret_cast<const char *>(arg.data() + pos), klen);
+    const char *bytes = reinterpret_cast<const char *>(arg.data());
+    d.key = std::string_view(bytes + pos, klen);
     pos += klen;
     if (d.op == KvOp::kPut) {
         if (arg.size() < pos + 4)
@@ -68,8 +70,7 @@ kvDecode(const std::vector<std::uint8_t> &arg)
         pos += 4;
         if (arg.size() < pos + vlen)
             return d;
-        d.value.assign(reinterpret_cast<const char *>(arg.data() + pos),
-                       vlen);
+        d.value = std::string_view(bytes + pos, vlen);
     }
     d.ok = true;
     return d;
@@ -100,7 +101,7 @@ ClioKvOffload::descriptor(std::uint32_t id)
 }
 
 std::uint64_t
-ClioKvOffload::hashKey(const std::string &key)
+ClioKvOffload::hashKey(std::string_view key)
 {
     // FNV-1a 64.
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -108,25 +109,25 @@ ClioKvOffload::hashKey(const std::string &key)
         h ^= static_cast<std::uint8_t>(c);
         h *= 0x100000001b3ull;
     }
-    // Never produce 0: 0 means "empty entry".
-    return h ? h : 1;
+    return h;
 }
 
 void
 ClioKvOffload::init(OffloadVm &vm)
 {
-    // Bucket head array lives at the start of the offload's RAS.
-    bucket_array_ = vm.alloc(bucket_count_ * 8);
+    // The bucket array of inline first slots lives at the start of
+    // the offload's RAS; fresh pages read as zero after the fault, so
+    // every slot starts empty with no next slot.
+    bucket_array_ = vm.alloc(bucket_count_ * kSlotBytes);
     clio_assert(bucket_array_ != 0, "Clio-KV: bucket array alloc failed");
-    // Heads start as 0 (fresh pages read as zero after fault).
 }
 
 std::uint64_t
 ClioKvOffload::slabAlloc(OffloadVm &vm, std::uint64_t n)
 {
-    // Reserve at least one burst so the speculative header+key fetch
-    // never crosses the slab's allocation boundary.
-    n = std::max<std::uint64_t>(n, 8 + kMaxKeyBytes);
+    // Reserve at least one key burst so the speculative header+key
+    // fetch never crosses the slab's allocation boundary.
+    n = std::max<std::uint64_t>(n, kKeyBurstBytes);
     clio_assert(n <= kSlabBytes, "object larger than a slab");
     if (slab_base_ == 0 || slab_used_ + n > kSlabBytes) {
         slab_base_ = vm.alloc(kSlabBytes);
@@ -141,43 +142,32 @@ ClioKvOffload::slabAlloc(OffloadVm &vm, std::uint64_t n)
 }
 
 bool
-ClioKvOffload::readSlot(OffloadVm &vm, std::uint64_t addr, Slot &slot)
+ClioKvOffload::holdsKey(const Entry &entry, std::string_view key,
+                        const std::uint8_t *burst)
 {
-    return vm.read(addr, &slot, kSlotBytes);
-}
-
-bool
-ClioKvOffload::writeSlot(OffloadVm &vm, std::uint64_t addr,
-                         const Slot &slot)
-{
-    return vm.write(addr, &slot, kSlotBytes);
-}
-
-bool
-ClioKvOffload::blockHoldsKey(OffloadVm &vm, std::uint64_t addr,
-                             const std::string &key,
-                             std::uint32_t *value_len)
-{
-    // The hardware pulls a whole DRAM burst anyway, so the header and
-    // the longest key cost one access (slabAlloc keeps it in bounds).
-    std::uint8_t burst[8 + kMaxKeyBytes];
-    if (!vm.read(addr, burst, sizeof(burst)))
-        return false;
     std::uint32_t lens[2];
     std::memcpy(lens, burst, 8);
-    if (lens[0] > kMaxKeyBytes ||
-        std::string_view(reinterpret_cast<const char *>(burst + 8),
-                         lens[0]) != key)
-        return false;
-    if (value_len)
-        *value_len = lens[1];
-    return true;
+    return lens[0] == key.size() &&
+           8ull + lens[0] + lens[1] == entry.len &&
+           std::string_view(reinterpret_cast<const char *>(burst + 8),
+                            lens[0]) == key;
+}
+
+bool
+ClioKvOffload::blockHoldsKey(OffloadVm &vm, const Entry &entry,
+                             std::string_view key)
+{
+    // The hardware pulls a whole DRAM burst anyway, so the header and
+    // the longest key cost one access.
+    std::uint8_t burst[kKeyBurstBytes];
+    return vm.read(entry.addr, burst, sizeof(burst)) &&
+           holdsKey(entry, key, burst);
 }
 
 OffloadResult
 ClioKvOffload::invoke(OffloadVm &vm, const std::vector<std::uint8_t> &arg)
 {
-    Decoded d = kvDecode(arg);
+    const Decoded d = kvDecode(arg);
     if (!d.ok) {
         return offloadError(OffloadErrc::kBadArgument,
                             "clio-kv: malformed request");
@@ -205,51 +195,53 @@ ClioKvOffload::invoke(OffloadVm &vm, const std::vector<std::uint8_t> &arg)
 }
 
 OffloadResult
-ClioKvOffload::get(OffloadVm &vm, const std::string &key)
+ClioKvOffload::get(OffloadVm &vm, std::string_view key)
 {
     OffloadResult res;
     const std::uint64_t h = hashKey(key);
-    const VirtAddr head_addr = bucket_array_ + (h % bucket_count_) * 8;
-    auto slot_addr = vm.read64(head_addr);
-    if (!slot_addr) {
-        return offloadError(OffloadErrc::kBadAddress,
-                            "clio-kv: bucket head read faulted");
-    }
-    // Walk the bucket chain, fingerprint-first (§6).
-    std::uint64_t cursor = *slot_addr;
+    const std::uint32_t tag = tagOf(h);
+    // Walk the bucket chain from its inline slot, tag first (§6).
+    std::uint64_t cursor = bucketSlot(h);
     while (cursor) {
         Slot slot;
-        if (!readSlot(vm, cursor, slot)) {
+        if (!vm.read(cursor, &slot, kSlotBytes)) {
             return offloadError(OffloadErrc::kBadAddress,
                                 "clio-kv: slot read faulted");
         }
         for (const Entry &entry : slot.entries) {
-            // Fingerprint first; a collision keeps searching. A match
-            // costs one more access, for the value.
-            std::uint32_t value_len = 0;
-            if (entry.fp != h || entry.addr == 0 ||
-                !blockHoldsKey(vm, entry.addr, key, &value_len))
+            // A tag collision keeps searching. A candidate costs one
+            // burst: header, key and value together, sized by the
+            // entry (a block never outgrows its slab, so a longer
+            // length is corrupt).
+            if (entry.tag != tag || entry.addr == 0 ||
+                entry.len > kSlabBytes)
                 continue;
-            res.data.resize(value_len);
-            vm.read(entry.addr + 8 + key.size(), res.data.data(),
-                    value_len);
+            res.data.resize(
+                std::max<std::uint64_t>(entry.len, kKeyBurstBytes));
+            if (!vm.read(entry.addr, res.data.data(), res.data.size()) ||
+                !holdsKey(entry, key, res.data.data()))
+                continue;
+            // Keep only the value.
+            res.data.erase(res.data.begin(),
+                           res.data.begin() + 8 + key.size());
+            res.data.resize(entry.len - 8 - key.size());
             res.value = 1; // found
             return res;
         }
         cursor = slot.next;
     }
-    res.value = 0; // not found (status stays kOk)
+    res.data.clear(); // a tag collision may have left its burst
+    res.value = 0;    // not found (status stays kOk)
     res.err_code = static_cast<std::uint32_t>(OffloadErrc::kNotFound);
     return res;
 }
 
 OffloadResult
-ClioKvOffload::put(OffloadVm &vm, const std::string &key,
-                   const std::string &value)
+ClioKvOffload::put(OffloadVm &vm, std::string_view key,
+                   std::string_view value)
 {
     OffloadResult res;
     const std::uint64_t h = hashKey(key);
-    const VirtAddr head_addr = bucket_array_ + (h % bucket_count_) * 8;
 
     // Write the new block first (out of place), then flip the entry
     // pointer: readers see either the old or the new value, never a
@@ -268,30 +260,35 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
                             "clio-kv: slab allocation failed",
                             Status::kOutOfMemory);
     }
-    std::uint32_t lens[2] = {static_cast<std::uint32_t>(key.size()),
-                             static_cast<std::uint32_t>(value.size())};
-    vm.write(block, lens, 8);
-    vm.write(block + 8, key.data(), key.size());
-    vm.write(block + 8 + key.size(), value.data(), value.size());
+    // Build {klen, vlen, key, value} once and write it in one burst.
+    if (block_buf_.size() < block_len)
+        block_buf_.resize(block_len);
+    const std::uint32_t lens[2] = {static_cast<std::uint32_t>(key.size()),
+                                   static_cast<std::uint32_t>(value.size())};
+    std::memcpy(block_buf_.data(), lens, 8);
+    std::memcpy(block_buf_.data() + 8, key.data(), key.size());
+    std::memcpy(block_buf_.data() + 8 + key.size(), value.data(),
+                value.size());
+    vm.write(block, block_buf_.data(), block_len);
 
-    std::uint64_t head = vm.read64(head_addr).value_or(0);
-    std::uint64_t cursor = head;
+    const Entry fresh{tagOf(h), static_cast<std::uint32_t>(block_len),
+                      block};
+    std::uint64_t cursor = bucketSlot(h);
     std::uint64_t last_slot = 0;
     std::uint64_t free_slot = 0;
     int free_index = -1;
     while (cursor) {
         Slot slot;
-        if (!readSlot(vm, cursor, slot)) {
+        if (!vm.read(cursor, &slot, kSlotBytes)) {
             return offloadError(OffloadErrc::kBadAddress,
                                 "clio-kv: slot read faulted");
         }
         for (int i = 0; i < static_cast<int>(kEntriesPerSlot); i++) {
-            Entry &entry = slot.entries[i];
-            if (entry.fp == h && entry.addr != 0 &&
-                blockHoldsKey(vm, entry.addr, key)) {
+            const Entry &entry = slot.entries[i];
+            if (entry.tag == fresh.tag && entry.addr != 0 &&
+                blockHoldsKey(vm, entry, key)) {
                 // Overwrite: pointer flip to the new block.
-                entry.addr = block;
-                vm.write(cursor + 8 + i * 16, &entry, 16);
+                vm.write(cursor + 8 + i * 16, &fresh, 16);
                 return res;
             }
             if (entry.addr == 0 && free_index < 0) {
@@ -303,48 +300,43 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
         cursor = slot.next;
     }
 
-    Entry entry{h, block};
     if (free_index >= 0) {
-        vm.write(free_slot + 8 + free_index * 16, &entry, 16);
+        vm.write(free_slot + 8 + free_index * 16, &fresh, 16);
         return res;
     }
-    // All slots full (or bucket empty): allocate and link a new slot.
+    // Every slot of the chain is full: allocate and link a new one.
     const std::uint64_t new_slot_addr = slabAlloc(vm, kSlotBytes);
     if (!new_slot_addr) {
         return offloadError(OffloadErrc::kAllocFailed,
                             "clio-kv: slot allocation failed",
                             Status::kOutOfMemory);
     }
-    Slot fresh{};
-    fresh.entries[0] = entry;
-    writeSlot(vm, new_slot_addr, fresh);
-    if (last_slot) {
-        vm.write64(last_slot, new_slot_addr); // link from chain tail
-    } else {
-        vm.write64(head_addr, new_slot_addr); // first slot of bucket
-    }
+    Slot overflow{};
+    overflow.entries[0] = fresh;
+    vm.write(new_slot_addr, &overflow, kSlotBytes);
+    vm.write64(last_slot, new_slot_addr); // link from chain tail
     return res;
 }
 
 OffloadResult
-ClioKvOffload::del(OffloadVm &vm, const std::string &key)
+ClioKvOffload::del(OffloadVm &vm, std::string_view key)
 {
     OffloadResult res;
     const std::uint64_t h = hashKey(key);
-    const VirtAddr head_addr = bucket_array_ + (h % bucket_count_) * 8;
-    std::uint64_t cursor = vm.read64(head_addr).value_or(0);
+    const std::uint32_t tag = tagOf(h);
+    std::uint64_t cursor = bucketSlot(h);
     while (cursor) {
         Slot slot;
-        if (!readSlot(vm, cursor, slot)) {
+        if (!vm.read(cursor, &slot, kSlotBytes)) {
             return offloadError(OffloadErrc::kBadAddress,
                                 "clio-kv: slot read faulted");
         }
         for (int i = 0; i < static_cast<int>(kEntriesPerSlot); i++) {
-            Entry &entry = slot.entries[i];
-            if (entry.fp != h || entry.addr == 0 ||
-                !blockHoldsKey(vm, entry.addr, key))
+            const Entry &entry = slot.entries[i];
+            if (entry.tag != tag || entry.addr == 0 ||
+                !blockHoldsKey(vm, entry, key))
                 continue;
-            Entry cleared{};
+            const Entry cleared{};
             vm.write(cursor + 8 + i * 16, &cleared, 16);
             res.value = 1; // deleted
             return res;

@@ -4,12 +4,23 @@
  * offload, with atomic-write / read-committed consistency.
  *
  * Data layout inside the offload's remote address space:
- *  - a bucket array (one 8-byte head pointer per bucket);
- *  - chains of slots, each holding a next pointer and 7 entries of
- *    {64-bit key fingerprint, VA of the key-value block};
+ *  - a bucket array holding each bucket's first slot inline
+ *    (bucket_count × kSlotBytes), so an operation starts at its slot
+ *    with no head-pointer read;
+ *  - slots, each holding a next pointer (chaining the bucket's
+ *    overflow slots) and 7 entries of {32-bit key tag, 32-bit block
+ *    length, VA of the key-value block};
  *  - key-value blocks {klen, vlen, key bytes, value bytes} carved out
  *    of slab pages (4 MB huge pages sub-allocated by the offload, so
  *    rallocs are rare and amortized).
+ *
+ * An offload engine is held across every dependent DRAM access, so
+ * each operation makes as few as it can. A get hit reads its slot,
+ * then header, key and value in one burst sized by the entry's block
+ * length (2 accesses). A put writes its block in one burst, reads the
+ * slot, checks a tag-matching block's header and key in one burst and
+ * flips the entry (4 for an overwrite). A get miss reads each slot of
+ * its bucket's chain (1 until the bucket overflows its inline slot).
  *
  * A CN-side partitioner (ClioKvClient) spreads keys across MNs; all
  * requests for one partition go to the same MN, whose ordered
@@ -22,6 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "offload/descriptor.hh"
@@ -58,7 +70,7 @@ class ClioKvOffload : public Offload
     std::uint64_t slabsAllocated() const { return slabs_; }
     /** @} */
 
-    static std::uint64_t hashKey(const std::string &key);
+    static std::uint64_t hashKey(std::string_view key);
 
     /** Maximum key length: lets the FPGA fetch header + key in one
      * speculative DRAM burst. */
@@ -67,13 +79,16 @@ class ClioKvOffload : public Offload
   private:
     static constexpr std::uint32_t kEntriesPerSlot = 7;
     static constexpr std::uint64_t kSlotBytes =
-        8 + kEntriesPerSlot * 16; // next + {fp, addr} entries
+        8 + kEntriesPerSlot * 16; // next + {tag, len, addr} entries
     static constexpr std::uint64_t kSlabBytes = 4 * MiB;
+    /** Header and the longest key: the smallest block burst. */
+    static constexpr std::uint64_t kKeyBurstBytes = 8 + kMaxKeyBytes;
 
     struct Entry
     {
-        std::uint64_t fp = 0;
-        std::uint64_t addr = 0;
+        std::uint32_t tag = 0;  ///< upper half of the key's hash
+        std::uint32_t len = 0;  ///< block length, 8 + klen + vlen
+        std::uint64_t addr = 0; ///< block VA; 0 marks a free entry
     };
 
     struct Slot
@@ -81,26 +96,43 @@ class ClioKvOffload : public Offload
         std::uint64_t next = 0;
         Entry entries[kEntriesPerSlot];
     };
+    static_assert(sizeof(Entry) == 16 && sizeof(Slot) == kSlotBytes);
+
+    static std::uint32_t
+    tagOf(std::uint64_t h)
+    {
+        return static_cast<std::uint32_t>(h >> 32);
+    }
+
+    /** VA of the bucket's inline first slot. */
+    VirtAddr
+    bucketSlot(std::uint64_t h) const
+    {
+        return bucket_array_ + (h % bucket_count_) * kSlotBytes;
+    }
 
     /** Allocate `n` bytes from the current slab (new slab as needed).
      * @return 0 on allocation failure. */
     std::uint64_t slabAlloc(OffloadVm &vm, std::uint64_t n);
 
-    bool readSlot(OffloadVm &vm, std::uint64_t addr, Slot &slot);
-    bool writeSlot(OffloadVm &vm, std::uint64_t addr, const Slot &slot);
+    /** Does the block whose first kKeyBurstBytes (at least) are in
+     * `burst` hold `key`, as `entry` describes it? The stored key
+     * length must equal the key's, the key bytes must compare equal,
+     * and 8 + klen + vlen must equal the entry's length, so a
+     * foreign, corrupt or mismatched block never matches. */
+    static bool holdsKey(const Entry &entry, std::string_view key,
+                         const std::uint8_t *burst);
 
-    /** Does the block at `addr` hold `key`? One speculative burst
-     * fetches its header and key together; a stored key length over
-     * kMaxKeyBytes (a foreign or corrupt block) never matches.
-     * @param value_len when non-null, receives the value's length. */
-    static bool blockHoldsKey(OffloadVm &vm, std::uint64_t addr,
-                              const std::string &key,
-                              std::uint32_t *value_len = nullptr);
+    /** holdsKey() on the block `entry` points at, fetching its
+     * header and key in one speculative burst (slabAlloc keeps it in
+     * bounds). */
+    static bool blockHoldsKey(OffloadVm &vm, const Entry &entry,
+                              std::string_view key);
 
-    OffloadResult get(OffloadVm &vm, const std::string &key);
-    OffloadResult put(OffloadVm &vm, const std::string &key,
-                      const std::string &value);
-    OffloadResult del(OffloadVm &vm, const std::string &key);
+    OffloadResult get(OffloadVm &vm, std::string_view key);
+    OffloadResult put(OffloadVm &vm, std::string_view key,
+                      std::string_view value);
+    OffloadResult del(OffloadVm &vm, std::string_view key);
 
     std::uint32_t bucket_count_;
     VirtAddr bucket_array_ = 0;
@@ -108,6 +140,10 @@ class ClioKvOffload : public Offload
     /** Slab cursor (offload-local registers, not remote memory). */
     VirtAddr slab_base_ = 0;
     std::uint64_t slab_used_ = 0;
+
+    /** Put's block staging buffer, reused across calls so a put
+     * builds its block without a heap allocation. */
+    std::vector<std::uint8_t> block_buf_;
 
     std::uint64_t gets_ = 0;
     std::uint64_t puts_ = 0;

@@ -19,6 +19,7 @@
 #include "apps/runner.hh"
 #include "apps/ycsb.hh"
 #include "cluster/cluster.hh"
+#include "devsim/dev_board.hh"
 #include "sim/rng.hh"
 
 namespace clio {
@@ -89,6 +90,86 @@ TEST(ClioKv, LargeValues)
         big[i] = static_cast<char>('a' + i % 26);
     ASSERT_TRUE(kv.put("big", big));
     EXPECT_EQ(kv.get("big").value_or(""), big);
+}
+
+TEST(ClioKv, DramAccessesPerOp)
+{
+    // An offload engine is held across every dependent DRAM access, so
+    // the access count is what a KV op costs. With a warm TLB, an op's
+    // DRAM time is exactly the sum over its accesses of DMA setup +
+    // access latency + transfer: a get hit reads its inline slot and
+    // then the whole block in one burst (2), an overwrite put writes
+    // its block, reads the slot, checks the old block's header+key and
+    // flips the entry (4), and a get miss reads its slot only (1).
+    const ModelConfig cfg = ModelConfig::prototype();
+    DevBoard dev(cfg);
+    dev.registerOffload(ClioKvOffload::descriptor(kKvOffloadId),
+                        std::make_shared<ClioKvOffload>());
+    CBoard &board = dev.board();
+    OffloadResult res;
+    Tick at = 0;
+    auto dram = [&](KvOp op, const std::string &key,
+                    const std::string &value = "") {
+        // Each call starts a second after the last: no DRAM queueing.
+        at += kSecond;
+        res = OffloadResult{};
+        OffloadCost split;
+        board.offloadRuntime().invokeLocal(board, kKvOffloadId,
+                                           kvEncode(op, key, value), at,
+                                           res, &split);
+        EXPECT_EQ(res.status, Status::kOk);
+        return split.dram;
+    };
+    auto access = [&](std::uint64_t bytes, bool is_write) {
+        return (is_write ? cfg.fast_path.dma_write_setup
+                         : cfg.fast_path.dma_read_setup) +
+               cfg.dram.access_latency +
+               bytes * ticksPerByte(cfg.dram.bandwidth_bps);
+    };
+    constexpr std::uint64_t kSlot = 8 + 7 * 16; // next + 7 entries
+    constexpr std::uint64_t kKeyBurst = 8 + ClioKvOffload::kMaxKeyBytes;
+
+    const std::string key = "user42";
+    const std::string value(1024, 'v');
+    const std::uint64_t block = 8 + key.size() + value.size();
+    const std::string small_key = "user7";
+    // Warm the TLB and fault in the bucket array and the slab.
+    dram(KvOp::kPut, key, value);
+    dram(KvOp::kPut, small_key, "s");
+    dram(KvOp::kGet, key);
+
+    EXPECT_EQ(dram(KvOp::kGet, key),
+              access(kSlot, false) + access(block, false));
+    EXPECT_EQ(res.value, 1u);
+    EXPECT_EQ(std::string(res.data.begin(), res.data.end()), value);
+
+    // A block shorter than a key burst is still read as one burst.
+    EXPECT_EQ(dram(KvOp::kGet, small_key),
+              access(kSlot, false) + access(kKeyBurst, false));
+    EXPECT_EQ(std::string(res.data.begin(), res.data.end()), "s");
+
+    EXPECT_EQ(dram(KvOp::kPut, key, value),
+              access(block, true) + access(kSlot, false) +
+                  access(kKeyBurst, false) + access(16, true));
+
+    auto bucket = [](const std::string &k) {
+        return ClioKvOffload::hashKey(k) % 4096; // the default count
+    };
+    std::string absent = "absent";
+    while (bucket(absent) == bucket(key) ||
+           bucket(absent) == bucket(small_key))
+        absent += "x";
+    EXPECT_EQ(dram(KvOp::kGet, absent), access(kSlot, false));
+    EXPECT_EQ(res.value, 0u);
+    EXPECT_TRUE(res.data.empty());
+
+    // A miss in an occupied bucket also reads only its slot.
+    int n = 0;
+    while (bucket("k" + std::to_string(n)) != bucket(key))
+        n++;
+    EXPECT_EQ(dram(KvOp::kGet, "k" + std::to_string(n)),
+              access(kSlot, false));
+    EXPECT_EQ(res.value, 0u);
 }
 
 /** One MN running Clio-KV, driven through its offload runtime

@@ -1,7 +1,7 @@
 /**
  * @file
- * Edge cases for the §6 applications: fingerprint collisions and
- * deletes in Clio-KV, Clio-MV capacity limits, radix-tree prefix
+ * Edge cases for the §6 applications: fingerprint collisions, deletes,
+ * overflow chains and corrupt entries in Clio-KV, Clio-MV capacity limits, radix-tree prefix
  * semantics, chase-offload argument validation, YCSB distribution
  * sanity, and Clio-DF empty/degenerate inputs.
  */
@@ -125,6 +125,190 @@ TEST(KvEdge, OversizedStoredKeyLengthNeverMatches)
     EXPECT_EQ(call(KvOp::kGet).value_or(""), "new");
     EXPECT_TRUE(call(KvOp::kDelete));
     EXPECT_FALSE(call(KvOp::kGet));
+}
+
+/** One-bucket Clio-KV on a DevBoard, with white-box access to its
+ * inline slot (the bucket array is the offload's first allocation). */
+struct OneBucketKv
+{
+    /** Mirror of the store's 16-byte slot entry. */
+    struct Entry
+    {
+        std::uint32_t tag;
+        std::uint32_t len;
+        std::uint64_t addr;
+    };
+
+    DevBoard dev;
+    CBoard &board = dev.board();
+    const ProcId pid = board.registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>(1));
+    Tick at = 0;
+
+    /** Run one call (a second after the last, so no DRAM queueing).
+     * @return the value when the call hit, nullopt otherwise. */
+    std::optional<std::string>
+    call(KvOp op, const std::string &key, const std::string &value = "",
+         Tick *dram = nullptr)
+    {
+        at += kSecond;
+        OffloadResult res;
+        OffloadCost split;
+        board.offloadRuntime().invokeLocal(
+            board, 1, kvEncode(op, key, value), at, res, &split);
+        EXPECT_EQ(res.status, Status::kOk);
+        if (dram)
+            *dram = split.dram;
+        return res.value ? std::optional<std::string>(std::string(
+                               res.data.begin(), res.data.end()))
+                         : std::nullopt;
+    }
+
+    /** DRAM time of a get miss: one slot read per slot in the chain. */
+    Tick
+    missDram()
+    {
+        Tick dram = 0;
+        EXPECT_FALSE(call(KvOp::kGet, "no-such-key", "", &dram));
+        return dram;
+    }
+
+    /** VA of entry `i` of the bucket's inline slot. */
+    VirtAddr
+    entryVa(int i)
+    {
+        const std::uint64_t page = board.config().page_table.page_size;
+        for (VirtAddr va = 0; va < 1024 * page; va += page)
+            if (const VaRegion *r = board.vaAllocator().regionOf(pid, va))
+                return r->start + 8 + i * sizeof(Entry);
+        ADD_FAILURE() << "no bucket array";
+        return 0;
+    }
+
+    Entry
+    entry(int i)
+    {
+        Entry e{};
+        OffloadVm vm(board, pid);
+        EXPECT_TRUE(vm.read(entryVa(i), &e, sizeof(e)));
+        return e;
+    }
+
+    void
+    setEntry(int i, const Entry &e)
+    {
+        OffloadVm vm(board, pid);
+        EXPECT_TRUE(vm.write(entryVa(i), &e, sizeof(e)));
+    }
+};
+
+TEST(KvEdge, OneBucketOverflowChainsAgreeWithAMap)
+{
+    // One bucket: 7 keys fill its inline slot, the rest chain into
+    // overflow slots. Every op must agree with a std::map, and a
+    // reinsert after deletes reuses the freed entries instead of
+    // growing the chain.
+    OneBucketKv kv;
+    std::map<std::string, std::string> mirror;
+    auto verify = [&] {
+        for (const auto &[k, v] : mirror)
+            EXPECT_EQ(kv.call(KvOp::kGet, k).value_or("<miss>"), v) << k;
+    };
+    kv.call(KvOp::kPut, "warm", "w");
+    ASSERT_TRUE(kv.call(KvOp::kDelete, "warm"));
+    const Tick one_slot = kv.missDram();
+
+    for (int i = 0; i < 24; i++) {
+        const std::string k = "key" + std::to_string(i);
+        kv.call(KvOp::kPut, k, "v" + std::to_string(i));
+        mirror[k] = "v" + std::to_string(i);
+    }
+    verify();
+    EXPECT_EQ(kv.missDram(), 4 * one_slot); // 7 + 7 + 7 + 3 entries
+
+    for (int i = 0; i < 24; i += 2) {
+        const std::string k = "key" + std::to_string(i);
+        kv.call(KvOp::kPut, k, "over" + std::to_string(i));
+        mirror[k] = "over" + std::to_string(i);
+    }
+    verify();
+
+    for (int i = 1; i < 24; i += 4) {
+        const std::string k = "key" + std::to_string(i);
+        EXPECT_TRUE(kv.call(KvOp::kDelete, k)) << k;
+        EXPECT_FALSE(kv.call(KvOp::kDelete, k)) << k;
+        EXPECT_FALSE(kv.call(KvOp::kGet, k)) << k;
+        mirror.erase(k);
+    }
+    verify();
+
+    // Six entries were freed; six new keys refill them.
+    for (int i = 0; i < 6; i++) {
+        const std::string k = "new" + std::to_string(i);
+        kv.call(KvOp::kPut, k, "n" + std::to_string(i));
+        mirror[k] = "n" + std::to_string(i);
+    }
+    verify();
+    EXPECT_EQ(kv.missDram(), 4 * one_slot);
+    kv.call(KvOp::kPut, "key1", "back");
+    mirror["key1"] = "back";
+    verify();
+    EXPECT_EQ(kv.missDram(), 4 * one_slot); // 4th slot had 4 free
+}
+
+TEST(KvEdge, EntryLengthDisagreeingWithHeaderNeverMatches)
+{
+    // The entry's block length must equal the block header's 8 + klen
+    // + vlen; when either side is off, get, del and put all see no
+    // match (put inserts beside the stale entry).
+    for (const bool corrupt_header : {false, true}) {
+        SCOPED_TRACE(corrupt_header ? "header" : "entry");
+        OneBucketKv kv;
+        kv.call(KvOp::kPut, "victim", "old");
+        OneBucketKv::Entry e = kv.entry(0);
+        ASSERT_EQ(e.len, 8u + 6 + 3);
+        if (corrupt_header) {
+            OffloadVm vm(kv.board, kv.pid);
+            std::uint32_t lens[2] = {};
+            ASSERT_TRUE(vm.read(e.addr, lens, sizeof(lens)));
+            lens[1] = 4; // vlen one longer than the entry says
+            ASSERT_TRUE(vm.write(e.addr, lens, sizeof(lens)));
+        } else {
+            e.len += 1;
+            kv.setEntry(0, e);
+        }
+        EXPECT_FALSE(kv.call(KvOp::kGet, "victim"));
+        EXPECT_FALSE(kv.call(KvOp::kDelete, "victim"));
+        kv.call(KvOp::kPut, "victim", "new");
+        EXPECT_EQ(kv.entry(0).addr, e.addr); // stale entry untouched
+        EXPECT_EQ(kv.call(KvOp::kGet, "victim").value_or(""), "new");
+        EXPECT_TRUE(kv.call(KvOp::kDelete, "victim"));
+        EXPECT_FALSE(kv.call(KvOp::kGet, "victim"));
+    }
+}
+
+TEST(KvEdge, EntryPointingAtAnotherKeysBlockNeverMatches)
+{
+    // An entry carrying alpha's tag but bravo's block (same key and
+    // value lengths, so only the key bytes differ) is no match for
+    // alpha, and bravo's own entry still serves bravo.
+    OneBucketKv kv;
+    kv.call(KvOp::kPut, "alpha", "1");
+    kv.call(KvOp::kPut, "bravo", "2");
+    OneBucketKv::Entry alpha = kv.entry(0);
+    const OneBucketKv::Entry bravo = kv.entry(1);
+    ASSERT_NE(alpha.tag, bravo.tag);
+    ASSERT_EQ(alpha.len, bravo.len);
+    alpha.addr = bravo.addr;
+    kv.setEntry(0, alpha);
+
+    EXPECT_FALSE(kv.call(KvOp::kGet, "alpha"));
+    EXPECT_FALSE(kv.call(KvOp::kDelete, "alpha"));
+    EXPECT_EQ(kv.call(KvOp::kGet, "bravo").value_or(""), "2");
+    kv.call(KvOp::kPut, "alpha", "3");
+    EXPECT_EQ(kv.entry(0).addr, bravo.addr); // not flipped
+    EXPECT_EQ(kv.call(KvOp::kGet, "alpha").value_or(""), "3");
+    EXPECT_EQ(kv.call(KvOp::kGet, "bravo").value_or(""), "2");
 }
 
 TEST(KvEdge, MalformedArgumentsRejected)
