@@ -35,7 +35,9 @@ struct Runtime
 Runtime
 queryRuntime(int select_pct)
 {
-    Cluster cluster(ModelConfig::prototype(), 1, 1, 8 * GiB);
+    auto cfg = ModelConfig::prototype();
+    cfg.mn_phys_bytes = 8 * GiB;
+    Cluster cluster(cfg, 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
         SelectOffload::descriptor(kSelectId),

@@ -228,7 +228,9 @@ runDf(int select_pct, std::uint64_t rows)
     p.select_pct = select_pct;
     p.rows = rows;
 
-    Cluster cluster(ModelConfig::prototype(), 1, 1, 8 * GiB);
+    auto cfg = ModelConfig::prototype();
+    cfg.mn_phys_bytes = 8 * GiB;
+    Cluster cluster(cfg, 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
         SelectOffload::descriptor(kSelectId),

@@ -26,7 +26,9 @@ main()
 {
     constexpr std::uint32_t kSelectId = 4;
     constexpr std::uint32_t kAggId = 5;
-    Cluster cluster(ModelConfig::prototype(), 1, 1, 8 * GiB);
+    auto cfg = ModelConfig::prototype();
+    cfg.mn_phys_bytes = 8 * GiB;
+    Cluster cluster(cfg, 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
         SelectOffload::descriptor(kSelectId),

@@ -35,7 +35,8 @@ main()
 {
     auto cfg = ModelConfig::prototype();
     cfg.dist.region_size = 32 * MiB; // small regions for the demo
-    Cluster cluster(cfg, 1, 3, 256 * MiB);
+    cfg.mn_phys_bytes = 256 * MiB;
+    Cluster cluster(cfg, 1, 3);
     ClioClient &client = cluster.createClient(0);
 
     // Phase 1: a tenant grows on its home MN (e.g. placed there for

@@ -236,10 +236,10 @@ ClioClient::drainPending()
 
 HandlePtr
 ClioClient::rallocAsync(std::uint64_t size, std::uint8_t perm,
-                        bool populate, NodeId mn_override)
+                        bool populate, NodeId mn_override, Tick timeout)
 {
     stats_.allocs++;
-    const NodeId mn = mn_override
+    const NodeId mn = mn_override != kNoNode
                           ? mn_override
                           : (alloc_picker_ ? alloc_picker_(size)
                                            : home_mn_);
@@ -250,6 +250,7 @@ ClioClient::rallocAsync(std::uint64_t size, std::uint8_t perm,
     req->size = size;
     req->perm = perm;
     req->populate = populate;
+    req->timeout_override = timeout;
     Op op;
     op.fp = Footprint{0, 0, false, false}; // fresh VAs: no conflicts
     op.handle = cn_.handlePool().acquire();

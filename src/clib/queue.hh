@@ -159,7 +159,8 @@ class SubmissionBatch
     std::size_t write(VirtAddr addr, const void *src, std::uint64_t len);
     std::size_t alloc(std::uint64_t size,
                       std::uint8_t perm = kPermReadWrite,
-                      bool populate = false, NodeId mn_override = 0);
+                      bool populate = false,
+                      NodeId mn_override = kNoNode);
     std::size_t free(VirtAddr addr);
     std::size_t atomic(VirtAddr addr, AtomicOp op,
                        std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);

@@ -68,12 +68,25 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
         offset < resync_.read_issued_end) {
         // Mirror into the resync target: its copied (or read-issued)
         // prefix would otherwise go stale. T2 serializes this mirror
-        // after any conflicting chunk copy-write (WAW on the target
+        // after an already-issued chunk copy-write (WAW on the target
         // VA), so the target converges to the latest data; writes
         // entirely beyond the issued prefix are picked up by the
         // chunk reads themselves. The mirror's own completion does
         // not gate the foreground write's success.
         batch.write(resync_.target_va + offset, src, len);
+        // A chunk whose survivor read is still in flight reads the
+        // pre-write bytes (the survivor write queues behind it, WAR)
+        // and its copy-write would land them over this mirror: keep
+        // the overlap for the copy-write. (That chunk ends at
+        // read_issued_end.)
+        if (resync_.reading && offset + len > resync_.cur_off) {
+            const std::uint64_t lo = std::max(offset, resync_.cur_off);
+            const std::uint64_t hi =
+                std::min(offset + len, resync_.read_issued_end);
+            const auto *bytes = static_cast<const std::uint8_t *>(src);
+            resync_.patches.push_back(
+                {lo, {bytes + (lo - offset), bytes + (hi - offset)}});
+        }
     }
     const BatchOutcome out = batch.submitAndWait();
     // A replica that exhausted retries is marked failed; the write
@@ -163,9 +176,22 @@ ReplicatedRegion::beginResync(NodeId replacement_mn,
     resync_.read_issued_end = 0;
     resync_.cur_off = 0;
     resync_.cur_len = 0;
+    resync_.reading = false;
     resync_.done = std::move(done);
+    // The target alloc reserves VA only: two ARM crossings and one
+    // allocation attempt, with one hash-overflow retry of slack. On
+    // this timer, not the slow-op one, a lost packet cannot leave the
+    // region single-copy for slow_op_timeout; a retry of an alloc
+    // that did run orphans a frameless VA range on the target.
+    const ModelConfig &cfg = client_.cnode().config();
+    const std::uint64_t page = cfg.page_table.page_size;
+    const Tick alloc_timeout =
+        cfg.clib.timeout + 2 * cfg.slow_path.interconnect_crossing +
+        cfg.slow_path.valloc_base +
+        (size_ + page - 1) / page * cfg.slow_path.valloc_per_page +
+        cfg.slow_path.valloc_retry;
     resync_cq_.watch(client_.rallocAsync(size_, kPermReadWrite, false,
-                                         replacement_mn),
+                                         replacement_mn, alloc_timeout),
                      kTagAlloc);
     return true;
 }
@@ -205,6 +231,14 @@ ReplicatedRegion::pumpResync()
                 finishResync(Status::kTimeout);
                 break;
             }
+            // Foreground writes that raced this read, oldest first.
+            for (const Resync::Patch &p : resync_.patches)
+                std::copy(p.bytes.begin(), p.bytes.end(),
+                          resync_.buf.begin() +
+                              static_cast<std::ptrdiff_t>(
+                                  p.off - resync_.cur_off));
+            resync_.patches.clear();
+            resync_.reading = false;
             resync_cq_.watch(
                 client_.rwriteAsync(resync_.target_va + resync_.cur_off,
                                     resync_.buf.data(), resync_.cur_len),
@@ -243,11 +277,12 @@ ReplicatedRegion::issueResyncRead()
         finishResync(Status::kOk);
         return;
     }
-    const VirtAddr survivor = primary_alive_ ? primary_ : backup_;
     resync_.cur_off = resync_.read_issued_end;
     resync_.cur_len = std::min(resync_.chunk, size_ - resync_.cur_off);
     resync_.read_issued_end = resync_.cur_off + resync_.cur_len;
     resync_.buf.resize(resync_.cur_len);
+    resync_.reading = true;
+    const VirtAddr survivor = primary_alive_ ? primary_ : backup_;
     resync_cq_.watch(client_.rreadAsync(survivor + resync_.cur_off,
                                         resync_.buf.data(),
                                         resync_.cur_len),
@@ -262,7 +297,9 @@ ReplicatedRegion::finishResync(Status status)
     // the region bothDead and give up anyway).
     resync_.active = false;
     resync_.aborting = false;
-    resync_.target_mn = 0;
+    resync_.reading = false;
+    resync_.patches.clear();
+    resync_.target_mn = kNoNode;
     resync_.target_va = 0;
     auto done = std::move(resync_.done);
     resync_.done = nullptr;

@@ -24,9 +24,12 @@
  * region is consistent the instant the last chunk lands; the swap to
  * fully-redundant happens only then. The correctness of
  * mirror-from-read-issue is anchored on the client's T2 ordering: a
- * write conflicting with an issued chunk read queues behind it (WAR),
- * so its mirror lands after the chunk's copy-write (WAW on the target
- * VA).
+ * mirror issued after a chunk's copy-write lands after it (WAW on the
+ * target VA). A write that overlaps a chunk whose survivor read is
+ * still in flight queues behind that read (WAR), so the read returns
+ * the pre-write bytes and the copy-write is issued after the mirror:
+ * the write's bytes are kept and laid over the chunk before it is
+ * copied.
  */
 
 #ifndef CLIO_CLIB_REPLICATION_HH
@@ -102,6 +105,8 @@ class ReplicatedRegion
     bool resyncActive() const { return resync_.active; }
     NodeId primaryMn() const { return primary_mn_; }
     NodeId backupMn() const { return backup_mn_; }
+    VirtAddr primaryVa() const { return primary_; }
+    VirtAddr backupVa() const { return backup_; }
     ClioClient &client() { return client_; }
     /** @} */
 
@@ -178,7 +183,7 @@ class ReplicatedRegion
         /** Set when the source/target died mid-copy; the state machine
          * fails at the next completion. */
         bool aborting = false;
-        NodeId target_mn = 0;
+        NodeId target_mn = kNoNode;
         VirtAddr target_va = 0;
         std::uint64_t chunk = 0;
         /** Next offset whose read has NOT been issued yet. Writes at
@@ -187,6 +192,17 @@ class ReplicatedRegion
         /** Chunk currently in flight. */
         std::uint64_t cur_off = 0;
         std::uint64_t cur_len = 0;
+        /** Its survivor read is outstanding (no copy-write yet). */
+        bool reading = false;
+        /** The part of a foreground write that overlapped the chunk
+         * while `reading`, at its offset in the region. */
+        struct Patch
+        {
+            std::uint64_t off = 0;
+            std::vector<std::uint8_t> bytes;
+        };
+        /** Laid over `buf`, in write order, before the copy-write. */
+        std::vector<Patch> patches;
         std::vector<std::uint8_t> buf;
         std::function<void(Status)> done;
     };

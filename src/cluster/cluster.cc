@@ -8,41 +8,39 @@
 
 namespace clio {
 
-Cluster::Cluster(const ModelConfig &cfg, std::uint32_t num_cns,
-                 std::uint32_t num_mns, std::uint64_t mn_phys_bytes)
-    : cfg_(cfg), eq_(cfg.event_queue_impl),
-      net_(eq_, cfg.net, cfg.seed * 7919 + 1)
+namespace {
+
+ModelConfig
+withMnPhysBytes(ModelConfig cfg, std::uint64_t mn_phys_bytes)
 {
-    clio_assert(num_cns > 0 && num_mns > 0, "cluster needs CNs and MNs");
-    for (std::uint32_t i = 0; i < num_mns; i++) {
-        mns_.push_back(
-            std::make_unique<CBoard>(eq_, net_, cfg_, mn_phys_bytes));
-        attachMnHooks(i, num_mns > 1);
-    }
-    for (std::uint32_t i = 0; i < num_cns; i++)
-        cns_.push_back(std::make_unique<CNode>(eq_, net_, cfg_));
-    if (cfg_.health.enabled)
-        health_ = std::make_unique<HealthPlane>(*this);
+    if (mn_phys_bytes != 0)
+        cfg.mn_phys_bytes = mn_phys_bytes;
+    return cfg;
 }
 
+} // namespace
+
 Cluster::Cluster(const ModelConfig &cfg, const ClusterSpec &spec)
-    : cfg_(cfg), eq_(cfg.event_queue_impl),
-      net_(eq_, cfg.net, cfg.seed * 7919 + 1), sharded_(true),
-      shard_map_(spec.shard_vnodes)
+    : cfg_(withMnPhysBytes(cfg, spec.mn_phys_bytes)),
+      eq_(cfg.event_queue_impl), net_(eq_, cfg.net, cfg.seed * 7919 + 1)
 {
     clio_assert(spec.racks > 0 && spec.cns_per_rack > 0 &&
                     spec.mns_per_rack > 0,
                 "cluster spec needs racks, CNs, and MNs");
-    const std::uint32_t total_mns = spec.racks * spec.mns_per_rack;
-    // MNs first, then CNs, exactly like the legacy constructor, so
-    // node-id assignment stays deterministic across cluster shapes.
+    const bool windowed = spec.racks * spec.mns_per_rack > 1;
+    // MNs first, then CNs, so node ids are deterministic per shape.
     for (RackId rack = 0; rack < spec.racks; rack++) {
         for (std::uint32_t i = 0; i < spec.mns_per_rack; i++) {
             const std::uint32_t idx =
                 static_cast<std::uint32_t>(mns_.size());
-            mns_.push_back(std::make_unique<CBoard>(
-                eq_, net_, cfg_, spec.mn_phys_bytes, rack));
-            attachMnHooks(idx, total_mns > 1);
+            auto board =
+                std::make_unique<CBoard>(eq_, net_, cfg_, 0, rack);
+            board->setWindowedMode(windowed);
+            board->setWindowRequestHook(
+                [this, idx](ProcId pid, std::uint64_t size) {
+                    return grantWindows(pid, idx, size);
+                });
+            mns_.push_back(std::move(board));
             shard_map_.addMn(idx, rack);
         }
     }
@@ -57,17 +55,6 @@ Cluster::Cluster(const ModelConfig &cfg, const ClusterSpec &spec)
 
 Cluster::~Cluster() = default;
 
-void
-Cluster::attachMnHooks(std::uint32_t mn_idx, bool windowed)
-{
-    CBoard *board = mns_[mn_idx].get();
-    board->setWindowedMode(windowed);
-    board->setWindowRequestHook(
-        [this, mn_idx](ProcId pid, std::uint64_t size) {
-            return grantWindows(pid, mn_idx, size);
-        });
-}
-
 std::uint32_t
 Cluster::mnIndexOf(NodeId node) const
 {
@@ -76,23 +63,6 @@ Cluster::mnIndexOf(NodeId node) const
             return i;
     }
     clio_panic("node %u is not an MN", node);
-}
-
-std::uint32_t
-Cluster::leastPressuredMn() const
-{
-    std::uint32_t best = 0;
-    double best_pressure = 2.0;
-    for (std::uint32_t i = 0; i < mns_.size(); i++) {
-        if (!mns_[i]->alive())
-            continue;
-        const double p = mns_[i]->memoryPressure();
-        if (p < best_pressure) {
-            best_pressure = p;
-            best = i;
-        }
-    }
-    return best;
 }
 
 RackId
@@ -153,16 +123,8 @@ Cluster::crashMn(std::uint32_t i)
     // With the health plane on, a crash is PHYSICAL only: membership
     // reacts when the controller's lease on the board expires (real
     // detection latency), via onMnDeclaredDead().
-    if (health_)
-        return;
-    if (sharded_) {
-        // The dead MN's vnodes leave the ring; affected pids re-probe
-        // rack-first among the survivors (consistent hashing keeps
-        // every other placement untouched).
-        shard_map_.removeMn(i);
-        if (!shard_map_.empty())
-            rehomeAllPids();
-    }
+    if (!health_)
+        onMnDeclaredDead(i);
 }
 
 void
@@ -175,32 +137,26 @@ Cluster::restartMn(std::uint32_t i)
     net_.setNodeDown(board.nodeId(), false);
     // With the health plane on, membership reacts when the board's
     // beacons reach the controller again (rejoin + epoch fence).
-    if (health_)
-        return;
-    if (sharded_) {
-        // Ring points are deterministic in (mn, replica), so re-adding
-        // restores the pre-crash placement exactly and re-homed pids
-        // move home again.
-        shard_map_.addMn(i, rackOfMn(i));
-        rehomeAllPids();
-    }
+    if (!health_)
+        onMnRejoined(i);
 }
 
 void
 Cluster::onMnDeclaredDead(std::uint32_t i)
 {
-    if (!sharded_)
-        return;
+    // The dead MN's vnodes leave the ring; affected pids re-probe
+    // rack-first among the survivors (consistent hashing keeps every
+    // other placement untouched).
     shard_map_.removeMn(i);
-    if (!shard_map_.empty())
-        rehomeAllPids();
+    rehomeAllPids();
 }
 
 void
 Cluster::onMnRejoined(std::uint32_t i)
 {
-    if (!sharded_)
-        return;
+    // Ring points are deterministic in (mn, replica), so re-adding
+    // restores the pre-crash placement exactly and re-homed pids move
+    // home again.
     shard_map_.addMn(i, rackOfMn(i));
     rehomeAllPids();
 }
@@ -248,7 +204,6 @@ Cluster::restoreRack(RackId rack)
 std::uint32_t
 Cluster::homeMnOf(ProcId pid) const
 {
-    clio_assert(sharded_, "home directory only exists in sharded mode");
     clio_assert(pid < pid_home_mn_.size() &&
                     pid_home_mn_[pid] != kNoOwner,
                 "pid %u has no directory entry", pid);
@@ -259,41 +214,19 @@ ClioClient &
 Cluster::createClient(std::uint32_t cn_index)
 {
     const ProcId pid = next_pid_++;
-    std::uint32_t home;
-    if (sharded_) {
-        // Shard-map placement: a process' home MN is the ring owner
-        // of its key, preferring an MN in the CN's own rack (§4.7
-        // scaled out). The directory keeps 4 bytes per process.
-        const RackId rack = net_.rackOf(cns_.at(cn_index)->nodeId());
-        home = shard_map_.ownerNear(pid, 0, rack);
-        if (pid >= pid_home_mn_.size()) {
-            pid_home_mn_.resize(
-                std::max<std::size_t>(pid + 1, pid_home_mn_.size() * 2),
-                kNoOwner);
-        }
-        pid_home_mn_[pid] = home;
-    } else {
-        home = rr_next_mn_;
-        rr_next_mn_ = (rr_next_mn_ + 1) % mns_.size();
+    // A process' home MN is the ring owner of its key, preferring an
+    // MN in the CN's own rack (§4.7 scaled out). The directory keeps
+    // 4 bytes per process.
+    const RackId rack = net_.rackOf(cns_.at(cn_index)->nodeId());
+    const std::uint32_t home = shard_map_.ownerNear(pid, 0, rack);
+    if (pid >= pid_home_mn_.size()) {
+        pid_home_mn_.resize(
+            std::max<std::size_t>(pid + 1, pid_home_mn_.size() * 2),
+            kNoOwner);
     }
-    auto client = std::make_unique<ClioClient>(
-        cn(cn_index), pid, mns_[home]->nodeId());
-    if (health_)
-        client->setReplicaRegistry(health_.get());
-    if (sharded_) {
-        // Every allocation of the pid lands on its directory MN (a
-        // migration rewrites routing via redirectRegion, not here).
-        client->setAllocPlacement([this, pid](std::uint64_t) {
-            return mns_[pid_home_mn_[pid]]->nodeId();
-        });
-    } else if (mns_.size() > 1) {
-        // Place new allocations on the least-pressured MN (§4.7).
-        client->setAllocPlacement([this](std::uint64_t) {
-            return mns_[leastPressuredMn()]->nodeId();
-        });
-    }
-    clients_.push_back(std::move(client));
-    return *clients_.back();
+    pid_home_mn_[pid] = home;
+    return addClient(std::make_unique<ClioClient>(cn(cn_index), pid,
+                                                  mns_[home]->nodeId()));
 }
 
 ClioClient &
@@ -305,18 +238,20 @@ Cluster::createSharedClient(std::uint32_t cn_index,
     auto client = std::make_unique<ClioClient>(
         cn(cn_index), base.pid(), base.mnFor(0));
     client->copyRoutingFrom(base);
+    return addClient(std::move(client));
+}
+
+ClioClient &
+Cluster::addClient(std::unique_ptr<ClioClient> client)
+{
     if (health_)
         client->setReplicaRegistry(health_.get());
-    if (sharded_) {
-        const ProcId pid = base.pid();
-        client->setAllocPlacement([this, pid](std::uint64_t) {
-            return mns_[pid_home_mn_[pid]]->nodeId();
-        });
-    } else if (mns_.size() > 1) {
-        client->setAllocPlacement([this](std::uint64_t) {
-            return mns_[leastPressuredMn()]->nodeId();
-        });
-    }
+    // Every allocation of the pid lands on its directory home (a
+    // migration rewrites routing via redirectRegion, not here).
+    const ProcId pid = client->pid();
+    client->setAllocPlacement([this, pid](std::uint64_t) {
+        return mns_[pid_home_mn_[pid]]->nodeId();
+    });
     clients_.push_back(std::move(client));
     return *clients_.back();
 }
@@ -354,8 +289,6 @@ Cluster::regionOwnerIdx(ProcId pid, VirtAddr region_start) const
     auto it = region_owner_.find({pid, region_start});
     if (it != region_owner_.end())
         return it->second;
-    if (!sharded_)
-        return kNoOwner;
     // Prediction: any granted, unmigrated region belongs to the pid's
     // directory home MN.
     const std::uint64_t region = cfg_.dist.region_size;
@@ -382,18 +315,12 @@ Cluster::grantWindows(ProcId pid, std::uint32_t mn_idx,
     const VirtAddr start = next * region;
     next += count;
     mns_[mn_idx]->vaAllocator().addWindow(pid, start, count * region);
-    if (sharded_) {
-        // O(1) controller state per process: the directory predicts
-        // the owner; only off-home grants (replication targets,
-        // offload RASes) need explicit entries.
-        const std::uint32_t home = pid < pid_home_mn_.size()
-                                       ? pid_home_mn_[pid]
-                                       : kNoOwner;
-        if (mn_idx != home) {
-            for (std::uint64_t j = 0; j < count; j++)
-                region_owner_[{pid, start + j * region}] = mn_idx;
-        }
-    } else {
+    // O(1) controller state per process: the directory predicts the
+    // owner; only off-home grants (replication targets, offload
+    // RASes) need explicit entries.
+    const std::uint32_t home =
+        pid < pid_home_mn_.size() ? pid_home_mn_[pid] : kNoOwner;
+    if (mn_idx != home) {
         for (std::uint64_t j = 0; j < count; j++)
             region_owner_[{pid, start + j * region}] = mn_idx;
     }
@@ -443,9 +370,13 @@ Cluster::migrateRegion(ProcId pid, std::uint32_t src_mn,
     CBoard &dst = *mns_[dst_mn];
     const std::uint64_t page_size = cfg_.page_table.page_size;
 
-    // Extract the allocator state for this region from the source.
-    auto regions = src.vaAllocator().extractRegions(pid, region_start,
-                                                    region);
+    // Extract the allocator state for this region from the source; an
+    // allocation straddling the region boundary pins it in place.
+    const auto extracted =
+        src.vaAllocator().extractRegions(pid, region_start, region);
+    if (!extracted)
+        return report;
+    const std::vector<VaRegion> &regions = *extracted;
     // All vpns the region covers that have live PTEs.
     std::vector<std::uint64_t> vpns;
     for (const auto &r : regions) {
@@ -494,9 +425,9 @@ Cluster::migrateRegion(ProcId pid, std::uint32_t src_mn,
         }
     }
 
-    // Controller bookkeeping + push routing updates to clients. In
-    // sharded mode this creates the region's exception entry (it no
-    // longer matches the directory prediction).
+    // Controller bookkeeping + push routing updates to clients. This
+    // creates the region's exception entry (it no longer matches the
+    // directory prediction).
     region_owner_[{pid, region_start}] = dst_mn;
     for (auto &client : clients_) {
         if (client->pid() == pid)
@@ -523,8 +454,8 @@ Cluster::balancePressure()
     for (std::uint32_t i = 0; i < mns_.size(); i++) {
         while (mns_[i]->memoryPressure() > limit) {
             // Migrate any region with data away from the hot MN. The
-            // exception map alone is not enough in sharded mode (most
-            // regions are only predicted), so walk each client's pid.
+            // exception map alone is not enough (most regions are only
+            // predicted), so walk each client's pid.
             MigrationReport done;
             for (const auto &client : clients_) {
                 const ProcId pid = client->pid();

@@ -4,10 +4,12 @@
  *
  * A Cluster owns the event queue, the network, N compute nodes and M
  * CBoards, and plays the paper's *global controller* role:
+ *  - homes each process on one MN, chosen by a rack-aware
+ *    consistent-hash ring (ShardMap), and places every allocation of
+ *    the process on its home MN;
  *  - assigns coarse (1 GB) virtual regions of each process' RAS to
  *    MNs, so VAs from different MNs never collide (two-level
  *    distributed virtual memory management, inherited from LegoOS);
- *  - places new allocations on the least-pressured MN;
  *  - migrates rarely-needed regions away from MNs under memory
  *    pressure (instead of swapping), §4.7.
  */
@@ -42,10 +44,8 @@ struct ClusterSpec
     std::uint32_t racks = 1;
     std::uint32_t cns_per_rack = 1;
     std::uint32_t mns_per_rack = 1;
-    /** Per-MN DRAM (0 = config default 2 GB). */
+    /** Per-MN DRAM (0 = ModelConfig::mn_phys_bytes). */
     std::uint64_t mn_phys_bytes = 0;
-    /** Consistent-hash ring points per MN (shard map smoothness). */
-    std::uint32_t shard_vnodes = 64;
 };
 
 /** Result of one region migration (bench/reporting). */
@@ -60,27 +60,26 @@ struct MigrationReport
     std::uint32_t dst_mn = 0;
 };
 
-/** A simulated Clio deployment: CNs + MNs on one ToR switch. */
+/** A simulated Clio deployment: CNs + MNs behind ToR switches. */
 class Cluster
 {
   public:
     /**
-     * Single-rack cluster with the controller's original
-     * least-pressured allocation placement.
-     * @param mn_phys_bytes per-MN DRAM (0 = config default 2 GB).
-     */
-    Cluster(const ModelConfig &cfg, std::uint32_t num_cns,
-            std::uint32_t num_mns, std::uint64_t mn_phys_bytes = 0);
-
-    /**
-     * Multi-rack sharded cluster: nodes are spread over spec.racks
-     * racks, and processes are placed over MNs by the consistent-hash
-     * shard map with rack-aware preference (a process' home MN is
-     * usually in its CN's rack). Region ownership is predicted by the
-     * ring + the per-pid directory; only migrations create explicit
+     * Nodes are spread over spec.racks racks, and processes are
+     * placed over MNs by the consistent-hash shard map with rack-aware
+     * preference (a process' home MN is usually in its CN's rack).
+     * Region ownership is predicted by the ring + the per-pid
+     * directory; only off-home grants and migrations create explicit
      * per-region entries — per-process controller state stays O(1).
      */
     Cluster(const ModelConfig &cfg, const ClusterSpec &spec);
+
+    /** Single-rack cluster (one ToR). */
+    Cluster(const ModelConfig &cfg, std::uint32_t num_cns,
+            std::uint32_t num_mns)
+        : Cluster(cfg, ClusterSpec{1, num_cns, num_mns})
+    {
+    }
 
     ~Cluster();
 
@@ -100,16 +99,16 @@ class Cluster
     /** MN index of a network node id (panics for CN ids). */
     std::uint32_t mnIndexOf(NodeId node) const;
 
-    /** Shard map in use (empty for single-rack legacy clusters). */
+    /** Shard map of the live MNs. */
     const ShardMap &shardMap() const { return shard_map_; }
 
-    /** Home MN index the directory assigned to `pid` (sharded mode). */
+    /** Home MN index the directory assigned to `pid`. */
     std::uint32_t homeMnOf(ProcId pid) const;
 
     /**
      * Create an application process on CN `cn_index` with a fresh
-     * global PID. Allocation placement defaults to round-robin over
-     * MNs weighted away from pressured ones.
+     * global PID, homed on the ring owner of its pid nearest the CN's
+     * rack. Its allocations land on that home MN.
      */
     ClioClient &createClient(std::uint32_t cn_index);
 
@@ -136,6 +135,8 @@ class Cluster
      * pressured other MN (§4.7). Chooses the first live region when
      * `region_start` is 0. Functional state flips atomically; the
      * report carries the modeled duration (1 GB ≈ 1.3 s at 10 Gbps).
+     * Fails (ok = false, nothing moved) when no live MN can admit the
+     * region or an allocation straddles its boundary.
      */
     MigrationReport migrateRegion(ProcId pid, std::uint32_t src_mn,
                                   VirtAddr region_start = 0);
@@ -148,11 +149,11 @@ class Cluster
     std::vector<MigrationReport> balancePressure();
 
     /** @{ Failure domains (chaos engine). crashMn() kills the board
-     * (volatile state lost) and marks its network port down; in
-     * sharded mode the controller reacts like §4.7's global controller
-     * would: the dead MN leaves the ring and every pid homed on it is
-     * re-homed rack-first onto a surviving MN (already-granted regions
-     * keep explicit owner entries, so only NEW allocations move).
+     * (volatile state lost) and marks its network port down; the
+     * controller reacts like §4.7's global controller would: the dead
+     * MN leaves the ring and every pid homed on it is re-homed
+     * rack-first onto a surviving MN (already-granted regions keep
+     * explicit owner entries, so only NEW allocations move).
      * restartMn() brings the board back EMPTY and re-adds its vnodes
      * to the ring — deterministic points mean placements are restored
      * exactly, so re-homed pids move home again. killRack()/
@@ -192,9 +193,6 @@ class Cluster
     bool grantWindows(ProcId pid, std::uint32_t mn_idx,
                       std::uint64_t min_bytes);
 
-    /** Least-pressured LIVE MN index. */
-    std::uint32_t leastPressuredMn() const;
-
     /** Move `pid`'s directory home to `new_home`, materializing the
      * directory's owner predictions for already-granted regions into
      * explicit exception entries first (they stay where they are). */
@@ -204,8 +202,9 @@ class Cluster
      * ring and re-home those whose directory entry differs. */
     void rehomeAllPids();
 
-    /** Wire up an MN's windowed-mode hooks (both constructors). */
-    void attachMnHooks(std::uint32_t mn_idx, bool windowed);
+    /** Attach a client to the controller: replica registry and the
+     * home-directory allocation placement of its pid. */
+    ClioClient &addClient(std::unique_ptr<ClioClient> client);
 
     /** Per-pid next free coarse-region index slot (see next_region_). */
     std::uint64_t &nextRegionSlot(ProcId pid);
@@ -215,8 +214,8 @@ class Cluster
     /** No MN owns the region (unknown pid/region). */
     static constexpr std::uint32_t kNoOwner = ~0u;
     /** Owning MN index of one granted region: the exception map, else
-     * (sharded) the pid's directory home — kNoOwner when the region
-     * was never granted. */
+     * the pid's directory home — kNoOwner when the region was never
+     * granted. */
     std::uint32_t regionOwnerIdx(ProcId pid, VirtAddr region_start) const;
 
     ModelConfig cfg_;
@@ -227,7 +226,6 @@ class Cluster
     std::vector<std::unique_ptr<ClioClient>> clients_;
 
     ProcId next_pid_ = 1;
-    std::uint32_t rr_next_mn_ = 0;
 
     /** Controller state: per-pid next free coarse-region index, a
      * flat vector indexed by the (sequential) pid — 8 bytes per
@@ -236,18 +234,15 @@ class Cluster
      * overflow into the side map. */
     std::vector<std::uint64_t> next_region_;
     std::map<ProcId, std::uint64_t> next_region_overflow_;
-    /** (pid, region_start) -> owning MN index. In sharded mode this
-     * holds only EXCEPTIONS (migrated regions); everything else is
+    /** (pid, region_start) -> owning MN index. Holds only EXCEPTIONS
+     * (off-home grants, migrated regions); everything else is
      * predicted by the per-pid directory, keeping region state O(1)
-     * per process. Legacy mode records every grant here. */
+     * per process. */
     std::map<std::pair<ProcId, VirtAddr>, std::uint32_t> region_owner_;
 
-    /** @{ Sharded (multi-rack) placement state. */
-    bool sharded_ = false;
     ShardMap shard_map_;
     /** Directory: pid -> home MN index (4 bytes per process). */
     std::vector<std::uint32_t> pid_home_mn_;
-    /** @} */
 
     /** Controller health plane (null unless cfg.health.enabled). */
     std::unique_ptr<HealthPlane> health_;

@@ -414,7 +414,7 @@ HealthPlane::pumpResyncQueue()
             continue;
         }
         const NodeId replacement = pickReplacement(*r, id);
-        if (replacement == 0) {
+        if (replacement == kNoNode) {
             // No candidate MN right now (e.g. a whole rack is down):
             // retry after the backoff. The entry stays queued.
             deferRequeue(id);
@@ -493,8 +493,8 @@ HealthPlane::pickReplacement(const ReplicatedRegion &region,
                 return mn.nodeId();
         }
     }
-    // Fallback (legacy clusters / exhausted probes): deterministic
-    // index scan, same-rack first.
+    // Fallback (exhausted probes): deterministic index scan, same-rack
+    // first.
     for (int pass = 0; pass < 2; pass++) {
         for (std::uint32_t i = 0; i < cluster_.mnCount(); i++) {
             CBoard &mn = cluster_.mn(i);
@@ -505,7 +505,7 @@ HealthPlane::pickReplacement(const ReplicatedRegion &region,
             return mn.nodeId();
         }
     }
-    return 0;
+    return kNoNode;
 }
 
 void

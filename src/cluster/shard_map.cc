@@ -20,11 +20,6 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-ShardMap::ShardMap(std::uint32_t vnodes_per_mn) : vnodes_(vnodes_per_mn)
-{
-    clio_assert(vnodes_ > 0, "shard map needs at least one vnode per MN");
-}
-
 std::uint64_t
 ShardMap::keyHash(ProcId pid, std::uint64_t region_index)
 {
@@ -38,8 +33,8 @@ ShardMap::addMn(std::uint32_t mn_idx, RackId rack)
         clio_assert(mn != mn_idx, "MN %u already in the shard map",
                     mn_idx);
     members_.emplace_back(mn_idx, rack);
-    ring_.reserve(ring_.size() + vnodes_);
-    for (std::uint32_t v = 0; v < vnodes_; v++) {
+    ring_.reserve(ring_.size() + kVnodesPerMn);
+    for (std::uint32_t v = 0; v < kVnodesPerMn; v++) {
         // Ring points depend only on (mn, replica): re-adding an MN
         // recreates exactly its old points, restoring old placements.
         const std::uint64_t point =

@@ -6,7 +6,7 @@
  * processes over many MNs without keeping per-process routing state
  * proportional to the region count. A consistent-hash ring does this
  * with O(vnodes * MNs) state total:
- *  - every MN contributes `vnodes_per_mn` points on a 64-bit ring;
+ *  - every MN contributes kVnodesPerMn points on a 64-bit ring;
  *  - a key (pid, region index) is hashed onto the ring and owned by
  *    the next point clockwise;
  *  - adding/removing an MN only remaps the keys adjacent to its
@@ -40,9 +40,9 @@ namespace clio {
 class ShardMap
 {
   public:
-    /** @param vnodes_per_mn ring points per MN; more points smooth
-     * the load split at the cost of a larger (still tiny) ring. */
-    explicit ShardMap(std::uint32_t vnodes_per_mn = 64);
+    /** Ring points per MN; more points smooth the load split at the
+     * cost of a larger (still tiny) ring. */
+    static constexpr std::uint32_t kVnodesPerMn = 64;
 
     /** Add MN `mn_idx` (in rack `rack`) to the ring. */
     void addMn(std::uint32_t mn_idx, RackId rack);
@@ -92,7 +92,6 @@ class ShardMap
     std::map<RackId, std::vector<VNode>> rack_rings_;
     /** (mn_idx, rack) membership list. */
     std::vector<std::pair<std::uint32_t, RackId>> members_;
-    std::uint32_t vnodes_;
 };
 
 } // namespace clio

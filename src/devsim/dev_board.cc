@@ -2,10 +2,10 @@
 
 namespace clio {
 
-DevBoard::DevBoard(const ModelConfig &cfg, std::uint64_t phys_bytes)
+DevBoard::DevBoard(const ModelConfig &cfg)
     : net_(eq_, cfg.net, cfg.seed + 4242)
 {
-    board_ = std::make_unique<CBoard>(eq_, net_, cfg, phys_bytes);
+    board_ = std::make_unique<CBoard>(eq_, net_, cfg);
 }
 
 DevProcess

@@ -36,8 +36,7 @@ class DevProcess;
 class DevBoard
 {
   public:
-    explicit DevBoard(const ModelConfig &cfg = ModelConfig::prototype(),
-                      std::uint64_t phys_bytes = 0);
+    explicit DevBoard(const ModelConfig &cfg = ModelConfig::prototype());
 
     /** Open a new "process" (fresh global PID / address space). */
     DevProcess openProcess();

@@ -48,6 +48,9 @@ using ProcId = std::uint32_t;
 /** Node identifiers within a cluster. */
 using NodeId = std::uint32_t;
 
+/** "No node": 0 is a real node id (the first node the network adds). */
+constexpr NodeId kNoNode = ~NodeId(0);
+
 /** Rack (leaf/ToR switch) identifier within a multi-rack cluster. */
 using RackId = std::uint32_t;
 

@@ -1,6 +1,7 @@
 #include "valloc/va_allocator.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -286,7 +287,7 @@ VaAllocator::removeWindow(ProcId pid, VirtAddr start,
     clio_panic("removeWindow: range not inside any window");
 }
 
-std::vector<VaRegion>
+std::optional<std::vector<VaRegion>>
 VaAllocator::extractRegions(ProcId pid, VirtAddr start,
                             std::uint64_t length)
 {
@@ -296,13 +297,22 @@ VaAllocator::extractRegions(ProcId pid, VirtAddr start,
         return out;
     auto &regions = pit->second.regions;
     const VirtAddr end = start + length;
-    auto it = regions.lower_bound(start);
-    while (it != regions.end() && it->first < end) {
-        clio_assert(it->second.start + it->second.length <= end,
-                    "region straddles migration boundary");
-        out.push_back(it->second);
-        it = regions.erase(it);
+    auto first = regions.lower_bound(start);
+    // One allocation may span two back-to-back windows: check every
+    // overlapping region, including one starting below `start`,
+    // before erasing any.
+    if (first != regions.begin()) {
+        const VaRegion &prev = std::prev(first)->second;
+        if (prev.start + prev.length > start)
+            return std::nullopt;
     }
+    auto last = first;
+    for (; last != regions.end() && last->first < end; ++last) {
+        if (last->second.start + last->second.length > end)
+            return std::nullopt;
+        out.push_back(last->second);
+    }
+    regions.erase(first, last);
     return out;
 }
 

@@ -108,11 +108,12 @@ class VaAllocator
 
     /**
      * Remove and return every live region inside [start, start+length)
-     * (region migration support). Regions must not straddle the range
-     * boundary (the controller migrates whole coarse regions).
+     * (region migration support). nullopt, with nothing removed, when
+     * a live region straddles either boundary of the range: the
+     * controller migrates whole coarse regions only.
      */
-    std::vector<VaRegion> extractRegions(ProcId pid, VirtAddr start,
-                                         std::uint64_t length);
+    std::optional<std::vector<VaRegion>>
+    extractRegions(ProcId pid, VirtAddr start, std::uint64_t length);
 
     /** Re-insert a region extracted from another MN's allocator. The
      * range must be free (and inside a window when windows exist). */

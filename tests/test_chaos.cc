@@ -262,6 +262,11 @@ runChaosSchedule(std::uint64_t seed, EventQueueImpl impl)
                             cluster.mn(primary_idx).nodeId(),
                             cluster.mn(backup_idx).nodeId());
     EXPECT_TRUE(region.ok());
+    // Each replica lives on the MN the schedule targets.
+    EXPECT_EQ(client.mnFor(region.primaryVa()),
+              cluster.mn(primary_idx).nodeId());
+    EXPECT_EQ(client.mnFor(region.backupVa()),
+              cluster.mn(backup_idx).nodeId());
 
     FaultPlan::RandomOpts opts;
     opts.duration = 400 * kMicrosecond;
@@ -497,6 +502,11 @@ runSelfHealingSchedule(std::uint64_t seed, EventQueueImpl impl)
                             cluster.mn(primary_idx).nodeId(),
                             cluster.mn(backup_idx).nodeId());
     EXPECT_TRUE(region.ok());
+    // Each replica lives on the MN the schedule targets.
+    EXPECT_EQ(client.mnFor(region.primaryVa()),
+              cluster.mn(primary_idx).nodeId());
+    EXPECT_EQ(client.mnFor(region.backupVa()),
+              cluster.mn(backup_idx).nodeId());
 
     FaultPlan::RandomOpts opts;
     opts.duration = 2 * kMillisecond;

@@ -85,7 +85,8 @@ TEST(Controller, MigrationRollsBackWhenDstFull)
 {
     auto cfg = ModelConfig::prototype();
     cfg.dist.region_size = 16 * MiB;
-    Cluster cluster(cfg, 1, 2, 32 * MiB); // 8 frames per MN
+    cfg.mn_phys_bytes = 32 * MiB; // 8 frames per MN
+    Cluster cluster(cfg, 1, 2);
     ClioClient &client = cluster.createClient(0);
 
     // Fill BOTH MNs nearly full so no destination can admit a region.
@@ -117,7 +118,8 @@ TEST(Controller, BalancePressureReducesHotMn)
 {
     auto cfg = ModelConfig::prototype();
     cfg.dist.region_size = 16 * MiB;
-    Cluster cluster(cfg, 1, 3, 64 * MiB);
+    cfg.mn_phys_bytes = 64 * MiB;
+    Cluster cluster(cfg, 1, 3);
     ClioClient &client = cluster.createClient(0);
 
     // Load up whatever MN gets the allocations.
@@ -151,23 +153,40 @@ TEST(Controller, BalancePressureReducesHotMn)
     }
 }
 
-TEST(Controller, PlacementPrefersLeastPressured)
+TEST(Controller, MigrationRefusesAllocationStraddlingRegions)
 {
+    // Two 12 MiB allocations in 16 MiB regions: the second spans the
+    // two back-to-back regions granted to the same MN. Neither region
+    // can move alone, so migration fails with nothing moved.
     auto cfg = ModelConfig::prototype();
-    Cluster cluster(cfg, 1, 2, 64 * MiB);
+    cfg.dist.region_size = 16 * MiB;
+    cfg.mn_phys_bytes = 64 * MiB;
+    Cluster cluster(cfg, ClusterSpec{1, 1, 2});
     ClioClient &client = cluster.createClient(0);
-    // Consume most of one MN by faulting pages.
-    const VirtAddr a = client.ralloc(32 * MiB).value_or(0);
-    std::uint64_t v = 7;
-    for (std::uint64_t off = 0; off < 32 * MiB; off += 4 * MiB)
-        client.rwrite(a + off, &v, 8);
-    const std::uint32_t loaded = cluster.mnIndexOf(client.mnFor(a));
-
-    // Fresh allocations should now land on the other MN.
-    ClioClient &other = cluster.createClient(0);
-    const VirtAddr b = other.ralloc(8 * MiB).value_or(0);
-    ASSERT_NE(b, 0u);
-    EXPECT_NE(cluster.mnIndexOf(other.mnFor(b)), loaded);
+    std::vector<VirtAddr> addrs;
+    for (std::uint64_t i = 0; i < 2; i++) {
+        const VirtAddr a = client.ralloc(12 * MiB).value_or(0);
+        ASSERT_NE(a, 0u);
+        const std::uint64_t v = 0x5700 + i;
+        ASSERT_EQ(client.rwrite(a, &v, 8), Status::kOk);
+        addrs.push_back(a);
+    }
+    const std::uint32_t src = cluster.mnIndexOf(client.mnFor(addrs[0]));
+    ASSERT_EQ(cluster.mnIndexOf(client.mnFor(addrs[1])), src);
+    for (const VirtAddr a : addrs) {
+        const VirtAddr region =
+            a / cfg.dist.region_size * cfg.dist.region_size;
+        const MigrationReport report =
+            cluster.migrateRegion(client.pid(), src, region);
+        EXPECT_FALSE(report.ok);
+        EXPECT_EQ(report.pages_moved, 0u);
+    }
+    for (std::uint64_t i = 0; i < 2; i++) {
+        std::uint64_t out = 0;
+        ASSERT_EQ(client.rread(addrs[i], &out, 8), Status::kOk);
+        EXPECT_EQ(out, 0x5700 + i);
+        EXPECT_EQ(cluster.mnIndexOf(client.mnFor(addrs[i])), src);
+    }
 }
 
 } // namespace

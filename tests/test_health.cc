@@ -286,6 +286,37 @@ TEST(HealthPlane, AutoResyncRestoresRedundancyWithoutClientHeal)
     }
 }
 
+TEST(HealthPlane, AutoResyncHealsOntoMnZero)
+{
+    // MN 0 (node id 0) is the only replacement for a region on MNs 1
+    // and 2: the controller must pick it, not read it as "no
+    // candidate" and defer forever.
+    auto cfg = healthConfig();
+    Cluster cluster(cfg, ClusterSpec{1, 1, 3});
+    HealthPlane *hp = cluster.health();
+    ClioClient &client = cluster.createClient(0);
+    EventQueue &eq = cluster.eventQueue();
+
+    ReplicatedRegion region(client, 256 * KiB, cluster.mn(1).nodeId(),
+                            cluster.mn(2).nodeId());
+    ASSERT_TRUE(region.ok());
+    EXPECT_EQ(client.mnFor(region.primaryVa()), cluster.mn(1).nodeId());
+    EXPECT_EQ(client.mnFor(region.backupVa()), cluster.mn(2).nodeId());
+    std::uint64_t v = 0xC0FFEE;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+
+    cluster.crashMn(1);
+    eq.runUntilTime(eq.now() + 50 * kMillisecond);
+    EXPECT_EQ(hp->stats().resyncs_started, 1u);
+    EXPECT_EQ(hp->stats().resyncs_completed, 1u);
+    EXPECT_TRUE(region.fullyRedundant());
+    EXPECT_EQ(region.primaryMn(), cluster.mn(0).nodeId());
+
+    std::uint64_t got = 0; // served by the primary, now on MN 0
+    ASSERT_EQ(region.read(0, &got, 8), Status::kOk);
+    EXPECT_EQ(got, 0xC0FFEEu);
+}
+
 TEST(HealthPlane, ResyncDefersWhenNoCandidateExists)
 {
     // Two MNs: when one dies there is nowhere to re-replicate to. The

@@ -607,7 +607,8 @@ TEST(Integration, MultiMnDistinctSpaces)
 TEST(Integration, MigrationPreservesData)
 {
     auto cfg = baseConfig();
-    Cluster cluster(cfg, 1, 2, 64 * MiB); // small MNs: 16 frames each
+    cfg.mn_phys_bytes = 64 * MiB; // small MNs: 16 frames each
+    Cluster cluster(cfg, 1, 2);
     ClioClient &client = cluster.createClient(0);
 
     // Fill a region on some MN.
@@ -645,7 +646,8 @@ TEST(Integration, PressureBalancing)
 {
     auto cfg = baseConfig();
     cfg.dist.region_size = 16 * MiB; // small regions for the test
-    Cluster cluster(cfg, 1, 2, 64 * MiB);
+    cfg.mn_phys_bytes = 64 * MiB;
+    Cluster cluster(cfg, 1, 2);
     ClioClient &client = cluster.createClient(0);
 
     // Write until one MN is under pressure.

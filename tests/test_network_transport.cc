@@ -313,13 +313,14 @@ TEST(CNode, RequestByteWindowIsPerMn)
     Cluster cluster(ModelConfig::prototype(), 1, 2);
     const ModelConfig &cfg = cluster.config();
     ClioClient &client = cluster.createClient(0);
+    const NodeId mn_a = cluster.mn(0).nodeId();
     const NodeId mn_b = cluster.mn(1).nodeId();
-    const VirtAddr a = client.ralloc(4 * MiB).value_or(0);
+    auto alloc_a = client.rallocAsync(4 * MiB, kPermReadWrite, false, mn_a);
     auto alloc_b = client.rallocAsync(4 * MiB, kPermReadWrite, false, mn_b);
-    ASSERT_TRUE(client.rpoll(alloc_b));
+    ASSERT_TRUE(client.rpoll({alloc_a, alloc_b}));
+    const VirtAddr a = alloc_a->value;
     const VirtAddr b = alloc_b->value;
-    ASSERT_NE(a, 0u);
-    ASSERT_NE(client.mnFor(a), mn_b);
+    ASSERT_EQ(client.mnFor(a), mn_a);
     ASSERT_EQ(client.mnFor(b), mn_b);
 
     EventQueue &eq = cluster.eventQueue();

@@ -7,12 +7,25 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 #include "clib/replication.hh"
 #include "cluster/cluster.hh"
 
 namespace clio {
 namespace {
+
+/** The test's premise: each replica lives on the MN it named. */
+void
+expectPlacedOn(Cluster &cluster, const ReplicatedRegion &region,
+               std::uint32_t primary_idx, std::uint32_t backup_idx)
+{
+    ClioClient &client = cluster.client(0);
+    EXPECT_EQ(client.mnFor(region.primaryVa()),
+              cluster.mn(primary_idx).nodeId());
+    EXPECT_EQ(client.mnFor(region.backupVa()),
+              cluster.mn(backup_idx).nodeId());
+}
 
 TEST(Replication, WriteAllReadOne)
 {
@@ -21,6 +34,7 @@ TEST(Replication, WriteAllReadOne)
     ReplicatedRegion region(client, 8 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
 
     const char msg[] = "durable-ish";
     ASSERT_EQ(region.write(100, msg, sizeof(msg)), Status::kOk);
@@ -40,6 +54,7 @@ TEST(Replication, FailoverServesFromBackup)
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
     std::uint64_t v = 0xD00D;
     ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
 
@@ -66,6 +81,7 @@ TEST(Replication, ReplicasOnDistinctMnsByConstruction)
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(1).nodeId(),
                             cluster.mn(2).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 1, 2);
     std::uint64_t v = 5;
     region.write(0, &v, 8);
     EXPECT_EQ(cluster.mn(0).stats().writes, 0u); // untouched MN
@@ -85,6 +101,7 @@ TEST(Replication, SurvivesLossyNetwork)
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
     for (int i = 0; i < 50; i++) {
         std::uint64_t v = 1000 + i;
         ASSERT_EQ(region.write(static_cast<std::uint64_t>(i) * 8, &v, 8),
@@ -108,6 +125,7 @@ TEST(Replication, FailoverUnderInflightBatchedWrites)
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
 
     cluster.eventQueue().scheduleAfter(5 * kMicrosecond,
                                        [&] { cluster.crashMn(0); });
@@ -136,6 +154,7 @@ TEST(Replication, DoubleFailureFailsFastWithoutHanging)
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
     std::uint64_t v = 1;
     ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
 
@@ -174,6 +193,7 @@ TEST(Replication, ReReplicationOntoThirdMnAfterCrash)
     ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
 
     // Scatter data across the region so the chunked (256 KiB) resync
     // stream has to cover every chunk.
@@ -215,6 +235,7 @@ TEST(Replication, HealAbortsWhenSurvivorDiesMidCopy)
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
     for (std::uint64_t off = 0; off < 4 * MiB; off += 512 * KiB) {
         std::uint64_t v = 0xCAFE0000 + off;
         ASSERT_EQ(region.write(off, &v, 8), Status::kOk);
@@ -253,6 +274,7 @@ TEST(Replication, ResyncChunkSizeIsConfigurable)
         ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
                                 cluster.mn(1).nodeId());
         ASSERT_TRUE(region.ok());
+        expectPlacedOn(cluster, region, 0, 1);
         for (std::uint64_t off = 0; off < 1 * MiB; off += 128 * KiB) {
             std::uint64_t v = 0xF00D0000 + off;
             ASSERT_EQ(region.write(off, &v, 8), Status::kOk);
@@ -293,6 +315,7 @@ TEST(Replication, WriteAllQuorumEdgeCases)
     ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
 
     // Degraded-mode write: one replica dead → kOk on a single ack,
     // and the dead replica is marked so later writes skip it.
@@ -312,6 +335,146 @@ TEST(Replication, WriteAllQuorumEdgeCases)
     EXPECT_EQ(region.read(0, &out, 8), Status::kOk);
     EXPECT_EQ(out, 8u);
     EXPECT_EQ(region.failovers(), 0u);
+}
+
+TEST(Replication, ReplicaPinnedToMnZeroLandsThere)
+{
+    // MN 0's node id is 0: an allocation pinned to it must not read as
+    // "no override" and fall through to the pid's home MN.
+    Cluster cluster(ModelConfig::prototype(), ClusterSpec{1, 1, 2});
+    ClioClient &client = cluster.createClient(0);
+    ASSERT_EQ(cluster.mn(0).nodeId(), 0u);
+    ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
+    std::uint64_t v = 0x0DD;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    EXPECT_EQ(cluster.mn(0).stats().writes, 1u);
+    EXPECT_EQ(cluster.mn(1).stats().writes, 1u);
+}
+
+TEST(Replication, WriteRacingAChunkReadReachesTheResyncTarget)
+{
+    // A write overlapping the chunk whose survivor read is in flight
+    // queues behind that read, so the read returns the old bytes while
+    // the write's mirror to the target leaves at once. The chunk's
+    // copy-write would then land the old bytes over the mirror: the
+    // resync must lay the write's bytes over the chunk first.
+    Cluster cluster(ModelConfig::prototype(), 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
+    std::uint64_t v = 1;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    cluster.crashMn(1);
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk); // marks it dead
+    ASSERT_FALSE(region.backupAlive());
+
+    std::optional<Status> outcome;
+    const std::uint64_t reads_before = cluster.mn(0).stats().reads;
+    ASSERT_TRUE(region.beginResync(cluster.mn(2).nodeId(),
+                                   [&](Status st) { outcome = st; }));
+    // Stop once the survivor has served chunk 0's read: the reply is
+    // still on its way back to the CN.
+    EventQueue &eq = cluster.eventQueue();
+    ASSERT_TRUE(eq.runUntil(
+        [&] { return cluster.mn(0).stats().reads > reads_before; }));
+    ASSERT_FALSE(outcome.has_value());
+    v = 2;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    ASSERT_TRUE(eq.runUntil([&] { return outcome.has_value(); }));
+    ASSERT_EQ(*outcome, Status::kOk);
+    ASSERT_TRUE(region.fullyRedundant());
+    EXPECT_EQ(region.backupMn(), cluster.mn(2).nodeId());
+
+    // Only the resynced replica is left to answer.
+    cluster.crashMn(0);
+    std::uint64_t got = 0;
+    ASSERT_EQ(region.read(0, &got, 8), Status::kOk);
+    EXPECT_EQ(got, 2u);
+}
+
+TEST(Replication, HotWriterDoesNotStallTheResync)
+{
+    // A writer that keeps hitting the chunk being read races every one
+    // of its reads. The resync must still finish while the writer is
+    // running, and the copy must hold the writer's last value.
+    Cluster cluster(ModelConfig::prototype(), 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
+    std::uint64_t v = 0;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    cluster.crashMn(1);
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk); // marks it dead
+    ASSERT_FALSE(region.backupAlive());
+
+    std::optional<Status> outcome;
+    ASSERT_TRUE(region.beginResync(cluster.mn(2).nodeId(),
+                                   [&](Status st) { outcome = st; }));
+    const Tick start = cluster.eventQueue().now();
+    // Each write takes a few microseconds; 2000 of them outlast the
+    // ~2 ms copy of 1 MiB several times over.
+    for (v = 1; v <= 2000 && !outcome.has_value(); v++)
+        ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    ASSERT_TRUE(outcome.has_value()) << "resync stalled by the writer";
+    ASSERT_EQ(*outcome, Status::kOk);
+    EXPECT_LT(cluster.eventQueue().now() - start, 5 * kMillisecond);
+    ASSERT_TRUE(region.fullyRedundant());
+    EXPECT_EQ(region.backupMn(), cluster.mn(2).nodeId());
+
+    const std::uint64_t last = v - 1;
+    cluster.crashMn(0); // only the resynced replica is left to answer
+    std::uint64_t got = 0;
+    ASSERT_EQ(region.read(0, &got, 8), Status::kOk);
+    EXPECT_EQ(got, last);
+}
+
+TEST(Replication, LostResyncAllocRetriesWithoutTheSlowOpTimer)
+{
+    // The resync's target alloc reserves VA only. A lost alloc packet
+    // is retried within a millisecond, not after slow_op_timeout
+    // (200 ms), so the region is single-copy only briefly.
+    Cluster cluster(ModelConfig::prototype(), 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    expectPlacedOn(cluster, region, 0, 1);
+    std::uint64_t v = 0x5EED;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    cluster.crashMn(1);
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk); // marks it dead
+    ASSERT_FALSE(region.backupAlive());
+
+    const NodeId target = cluster.mn(2).nodeId();
+    std::uint32_t dropped = 0;
+    cluster.network().setFaultHook([&](const Packet &pkt, NetStage) {
+        FaultVerdict verdict;
+        if (pkt.dst == target && pkt.type == MsgType::kAlloc &&
+            dropped == 0) {
+            verdict.drop = true;
+            dropped++;
+        }
+        return verdict;
+    });
+    const Tick start = cluster.eventQueue().now();
+    const std::uint64_t timeouts = client.cnode().stats().timeouts;
+    ASSERT_EQ(region.heal(target), Status::kOk);
+    cluster.network().clearFaultHook();
+    EXPECT_EQ(dropped, 1u);
+    EXPECT_EQ(client.cnode().stats().timeouts - timeouts, 1u);
+    EXPECT_LT(cluster.eventQueue().now() - start, 5 * kMillisecond);
+
+    cluster.crashMn(0); // only the healed replica is left to answer
+    std::uint64_t got = 0;
+    ASSERT_EQ(region.read(0, &got, 8), Status::kOk);
+    EXPECT_EQ(got, 0x5EEDu);
 }
 
 } // namespace

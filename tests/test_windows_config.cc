@@ -64,7 +64,9 @@ TEST(Windows, ExtractAndInjectMoveRegionsBetweenAllocators)
     auto b = src.va.allocate(1, 4 * MiB, kPermRead, src.pt);
     ASSERT_TRUE(a && b);
 
-    auto moved = src.va.extractRegions(1, 1 * GiB, 64 * MiB);
+    auto extracted = src.va.extractRegions(1, 1 * GiB, 64 * MiB);
+    ASSERT_TRUE(extracted.has_value());
+    const std::vector<VaRegion> &moved = *extracted;
     ASSERT_EQ(moved.size(), 2u);
     EXPECT_EQ(src.va.allocatedBytes(1), 0u);
     src.va.removeWindow(1, 1 * GiB, 64 * MiB);
@@ -79,6 +81,28 @@ TEST(Windows, ExtractAndInjectMoveRegionsBetweenAllocators)
     EXPECT_EQ(rb->perm, kPermRead);
     // Freeing through the destination works.
     EXPECT_TRUE(dst.va.free(1, a->addr).has_value());
+}
+
+TEST(Windows, ExtractRefusesRegionsStraddlingTheRange)
+{
+    // Two back-to-back windows merge, so one allocation can span
+    // both. Extracting either window must refuse, removing nothing,
+    // whether the straddler starts inside the range or below it.
+    WinFixture f;
+    f.va.addWindow(1, 1 * GiB, 16 * MiB);
+    f.va.addWindow(1, 1 * GiB + 16 * MiB, 16 * MiB);
+    auto inside = f.va.allocate(1, 8 * MiB, kPermReadWrite, f.pt);
+    auto spanning = f.va.allocate(1, 12 * MiB, kPermReadWrite, f.pt);
+    ASSERT_TRUE(inside && spanning);
+    ASSERT_LT(spanning->addr, 1 * GiB + 16 * MiB);
+    ASSERT_GT(spanning->addr + 12 * MiB, 1 * GiB + 16 * MiB);
+
+    EXPECT_FALSE(f.va.extractRegions(1, 1 * GiB, 16 * MiB).has_value());
+    EXPECT_FALSE(f.va.extractRegions(1, 1 * GiB + 16 * MiB, 16 * MiB)
+                     .has_value());
+    EXPECT_EQ(f.va.allocatedBytes(1), 20 * MiB);
+    EXPECT_NE(f.va.regionOf(1, inside->addr), nullptr);
+    EXPECT_NE(f.va.regionOf(1, spanning->addr), nullptr);
 }
 
 TEST(Windows, RemoveWindowSplitsMergedRange)
